@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from fuzzydom.core import FuzzyGraph
+from fuzzydom.harness import GenParams, gen_random
+from fuzzydom.product import direct_product
 from fuzzydom.domination import (
     TooLargeError,
     brute_force_min,
@@ -85,6 +87,49 @@ def test_zero_sigma_vertices_pad_the_witness():
     oracle = brute_force_min(g, "dominating")
     assert dom.optimum == oracle.optimum == Fraction(1, 2)
     assert dom.witness == oracle.witness == ("z", "a")
+
+
+# 49-vertex products on which the search once took 20-40 s; the values were
+# computed with the earlier search, which branched on the lowest uncovered
+# vertex and enumerated each cover once per order of its picks
+HEAVY_TAIL = [
+    (10000,
+     (Fraction(53, 20),
+      ("v1|v2", "v1|v7", "v2|v1", "v2|v2", "v2|v3", "v2|v7", "v3|v1", "v3|v2",
+       "v3|v3", "v3|v6", "v3|v7", "v4|v2", "v4|v7", "v5|v1", "v5|v2", "v5|v5",
+       "v5|v7", "v6|v2", "v7|v2", "v7|v7")),
+     (None, None)),
+    (10002,
+     (Fraction(31, 20),
+      ("v1|v2", "v2|v2", "v2|v3", "v2|v6", "v3|v1", "v3|v6", "v5|v2", "v5|v4",
+       "v6|v2", "v7|v1")),
+     (Fraction(19, 10),
+      ("v2|v3", "v2|v4", "v2|v6", "v3|v1", "v3|v4", "v3|v6", "v5|v4",
+       "v5|v5"))),
+    (10004,
+     (Fraction(67, 20),
+      ("v1|v1", "v1|v3", "v1|v7", "v2|v1", "v2|v3", "v2|v7", "v3|v7", "v4|v7",
+       "v5|v1", "v5|v3", "v5|v7", "v6|v7", "v7|v7")),
+     (Fraction(99, 20),
+      ("v1|v1", "v1|v2", "v1|v3", "v1|v7", "v2|v1", "v2|v2", "v2|v3", "v2|v7",
+       "v5|v1", "v5|v2", "v5|v3", "v5|v7"))),
+]
+
+
+@pytest.mark.parametrize("seed,dom,tot", HEAVY_TAIL)
+def test_heavy_tail_products_keep_their_optima(seed, dom, tot):
+    def factor(s):
+        return gen_random(GenParams(vertex_count=7,
+                                    edge_probability=Fraction(1, 2),
+                                    effective_probability=Fraction(3, 4),
+                                    sigma_grid=20, seed=s))
+
+    p = direct_product(factor(seed), factor(seed + 1))
+    result = min_dominating(p)
+    assert (result.optimum, result.witness) == dom
+    result = min_total_dominating(p)
+    assert (result.optimum, result.witness) == tot
+    assert result.found == (tot[0] is not None)
 
 
 def test_oracle_rejects_large_graphs():
