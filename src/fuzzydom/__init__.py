@@ -43,7 +43,6 @@ from .product import (
     fiber_left,
     fiber_right,
     is_complete_product,
-    product_order,
 )
 from .domination import (
     DominationResult,
@@ -62,9 +61,7 @@ from .alpha import (
     build_lp,
     gamma_alpha,
     gamma_t_alpha,
-    proof_function_closed,
     proof_function_total,
-    simplex_solve,
     verify_alpha_function,
 )
 from .harness import (
@@ -148,14 +145,11 @@ __all__ = [
     "min_total_dominating",
     "open_neighborhood",
     "parse_weight",
-    "product_order",
-    "proof_function_closed",
     "proof_function_total",
     "replay_report",
     "run_corpus",
     "save",
     "shrink",
-    "simplex_solve",
     "validate",
     "verify_alpha_function",
 ]

@@ -12,10 +12,10 @@ independent cross-check: it enumerates every square subsystem of active
 constraints, solves each by Gaussian elimination, and takes the best
 feasible corner. It shares no code with the simplex.
 
-proof_function_total / proof_function_closed build the explicit vertex
-functions that transfer a (total) dominating set of a product graph down to
-its left factor: f(g) caps the covered mass of g's fiber at 2*alpha. The
-harness checks what these constructions do and do not guarantee.
+proof_function_total builds the explicit vertex function that transfers a
+total dominating set of a product graph down to its left factor: f(g) caps
+the covered mass of g's fiber at 2*alpha. The harness checks what this
+construction does and does not guarantee.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Iterable, Literal, Optional
 from .core import (
     FuzzyGraph,
     UnknownVertexError,
+    _effective_adjacency,
     closed_neighborhood,
     fuzzy_cardinality,
     open_neighborhood,
@@ -83,15 +84,18 @@ class AlphaFunction:
 
 def build_lp(g: FuzzyGraph, alpha: Fraction, mode: Mode) -> LpInstance:
     """One variable per vertex, one covering row per vertex neighborhood."""
-    neighborhood = open_neighborhood if mode == "open" else closed_neighborhood
-    rows = tuple(
-        tuple(g.index(u) for u in neighborhood(g, v)) for v in g.vertices)
+    masks = _effective_adjacency(g)
+    if mode == "closed":
+        masks = [m | 1 << i for i, m in enumerate(masks)]
+    columns = range(len(g.vertices))
+    rows = tuple(tuple(j for j in columns if m >> j & 1) for m in masks)
     return LpInstance(vertex_ids=g.vertices, rows=rows,
                       alpha=Fraction(alpha), mode=mode)
 
 
-def simplex_solve(lp: LpInstance) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
-    """Exact optimum of the covering program, or None when infeasible."""
+def _solve_to_function(g: FuzzyGraph, alpha: Fraction,
+                       mode: Mode) -> Optional[AlphaFunction]:
+    lp = build_lp(g, alpha, mode)
     n = len(lp.vertex_ids)
     zero = Fraction(0)
     one = Fraction(1)
@@ -101,14 +105,7 @@ def simplex_solve(lp: LpInstance) -> Optional[tuple[Fraction, tuple[Fraction, ..
         for j in cols:
             row[j] = one
         dense.append(row)
-    costs = [one] * n
-    rhs = [lp.alpha] * len(lp.rows)
-    return simplex_minimize(costs, dense, rhs)
-
-
-def _solve_to_function(g: FuzzyGraph, alpha: Fraction,
-                       mode: Mode) -> Optional[AlphaFunction]:
-    solved = simplex_solve(build_lp(g, alpha, mode))
+    solved = simplex_minimize([one] * n, dense, [lp.alpha] * len(lp.rows))
     if solved is None:
         return None
     _, assignment = solved
@@ -177,37 +174,6 @@ def proof_function_total(product: FuzzyGraph, s: Iterable[str],
         for g in ids)
     return AlphaFunction(graph_name=tag.left_name, vertex_ids=ids,
                          values=values, alpha=cap, mode="open")
-
-
-def proof_function_closed(
-    product: FuzzyGraph,
-    s: Iterable[str],
-    alpha: Fraction,
-    cardinality_mode: Literal["fuzzy", "crisp-count"] = "fuzzy",
-) -> AlphaFunction:
-    """Closed-mode sibling of proof_function_total.
-
-    fuzzy mode caps the covered fuzzy mass of each fiber; crisp-count mode
-    caps the raw element count instead. The count reading mixes a cardinality
-    with the membership scale, so it is opt-in rather than the default.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    tag = _require_tag(product)
-    chosen = {product.vertices[product.index(v)] for v in s}
-    cap = 2 * alpha
-    ids = _left_factor_ids(product)
-    values = []
-    for g in ids:
-        hit = chosen & set(fiber_left(product, g))
-        if cardinality_mode == "crisp-count":
-            mass = Fraction(len(hit))
-        else:
-            mass = fuzzy_cardinality(product, hit)
-        values.append(min(cap, mass))
-    return AlphaFunction(graph_name=tag.left_name, vertex_ids=ids,
-                         values=tuple(values), alpha=cap, mode="closed")
 
 
 def brute_force_lp_min(lp: LpInstance) -> Optional[Fraction]:

@@ -5,6 +5,11 @@ and mu(e) on every undirected edge. Domination in this package acts only
 along *effective* edges, the edges where mu equals min(sigma(u), sigma(v)),
 so the neighborhood functions here are all defined over effective edges.
 
+_effective_adjacency is the one place that decides effectiveness: it gives
+one bitmask per vertex, bit j of entry i set exactly when {i, j} is an
+effective edge (loops never set a bit). Every predicate, neighborhood,
+solver and LP row in the package reads those masks.
+
 FuzzyGraph is immutable. Vertices keep their input order and every
 set-valued result is returned sorted by that order, which makes all
 downstream output (witnesses, neighborhoods, serialized files)
@@ -144,8 +149,9 @@ class FuzzyGraph:
     def sigma_of(self, vid: str) -> Fraction:
         return self.sigma[self.index(vid)]
 
-    def sorted_by_input_order(self, s: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(s, key=self.index))
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The vertices whose index bit is set in mask, in input order."""
+        return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
 
 @lru_cache(maxsize=None)
@@ -154,22 +160,16 @@ def _index_map(g: FuzzyGraph) -> dict[str, int]:
 
 
 @lru_cache(maxsize=None)
-def _mu_map(g: FuzzyGraph) -> dict[tuple[str, str], Fraction]:
-    return {(u, v): mu for u, v, mu in g.edges}
-
-
-@lru_cache(maxsize=None)
-def _effective_adjacency(g: FuzzyGraph) -> tuple[frozenset[str], ...]:
-    # adjacency over effective edges only, indexed by vertex position
-    nbrs: list[set[str]] = [set() for _ in g.vertices]
+def _effective_adjacency(g: FuzzyGraph) -> tuple[int, ...]:
+    """Bit j of entry i is set iff {i, j} is an effective edge."""
+    masks = [0] * len(g.vertices)
     idx = _index_map(g)
     for u, v, mu in g.edges:
-        if u == v:
-            continue  # loops never make a vertex its own neighbor
-        if mu == min(g.sigma[idx[u]], g.sigma[idx[v]]):
-            nbrs[idx[u]].add(v)
-            nbrs[idx[v]].add(u)
-    return tuple(frozenset(s) for s in nbrs)
+        i, j = idx[u], idx[v]
+        if i != j and mu == min(g.sigma[i], g.sigma[j]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return tuple(masks)
 
 
 def validate(g: FuzzyGraph) -> list[str]:
@@ -197,31 +197,24 @@ def validate(g: FuzzyGraph) -> list[str]:
 
 def is_effective(g: FuzzyGraph, u: str, v: str) -> bool:
     """True iff {u,v} is an edge attaining mu = min(sigma(u), sigma(v))."""
-    iu, iv = g.index(u), g.index(v)
-    if iu == iv:
-        return False
-    a, b = (u, v) if u <= v else (v, u)
-    mu = _mu_map(g).get((a, b))
-    if mu is None:
-        return False
-    return mu == min(g.sigma[iu], g.sigma[iv])
+    return bool(_effective_adjacency(g)[g.index(u)] >> g.index(v) & 1)
 
 
 def open_neighborhood(g: FuzzyGraph, v: str) -> tuple[str, ...]:
     """Effective neighbors of v, sorted by vertex input order."""
-    return g.sorted_by_input_order(_effective_adjacency(g)[g.index(v)])
+    return g.members(_effective_adjacency(g)[g.index(v)])
 
 
 def closed_neighborhood(g: FuzzyGraph, v: str) -> tuple[str, ...]:
     """Effective neighbors of v plus v itself, sorted by input order."""
-    return g.sorted_by_input_order(_effective_adjacency(g)[g.index(v)] | {v})
+    i = g.index(v)
+    return g.members(_effective_adjacency(g)[i] | 1 << i)
 
 
 def is_complete(g: FuzzyGraph) -> bool:
     """True iff every distinct vertex pair is an effective edge."""
     n = len(g.vertices)
-    adj = _effective_adjacency(g)
-    return all(len(adj[i]) == n - 1 for i in range(n))
+    return all(m.bit_count() == n - 1 for m in _effective_adjacency(g))
 
 
 def fuzzy_order(g: FuzzyGraph) -> Fraction:
@@ -236,7 +229,7 @@ def fuzzy_cardinality(g: FuzzyGraph, s: Iterable[str]) -> Fraction:
 
 def effective_degree_counts(g: FuzzyGraph) -> tuple[int, ...]:
     """Number of effective neighbors per vertex, in input order."""
-    return tuple(len(s) for s in _effective_adjacency(g))
+    return tuple(m.bit_count() for m in _effective_adjacency(g))
 
 
 def is_crisp_connected(g: FuzzyGraph) -> bool:
@@ -269,6 +262,6 @@ def is_crisp_connected(g: FuzzyGraph) -> bool:
 
 def effective_edges(g: FuzzyGraph) -> tuple[tuple[str, str, Fraction], ...]:
     """The subset of edges along which domination acts."""
+    adj = _effective_adjacency(g)
     idx = _index_map(g)
-    return tuple((u, v, mu) for u, v, mu in g.edges
-                 if u != v and mu == min(g.sigma[idx[u]], g.sigma[idx[v]]))
+    return tuple(e for e in g.edges if adj[idx[e[0]]] >> idx[e[1]] & 1)

@@ -34,7 +34,6 @@ from .core import (
     FuzzyGraph,
     open_neighborhood,
     _effective_adjacency,
-    _index_map,
 )
 
 Kind = Literal["dominating", "total"]
@@ -58,19 +57,24 @@ class DominationResult:
         return self.status == "found"
 
 
+def _chosen_mask(g: FuzzyGraph, s: Iterable[str]) -> int:
+    mask = 0
+    for v in s:
+        mask |= 1 << g.index(v)
+    return mask
+
+
 def is_dominating(g: FuzzyGraph, s: Iterable[str]) -> bool:
     """True iff every vertex outside s has an effective neighbor in s."""
-    chosen = {g.vertices[g.index(v)] for v in s}
-    adj = _effective_adjacency(g)
-    return all(v in chosen or adj[i] & chosen
-               for i, v in enumerate(g.vertices))
+    chosen = _chosen_mask(g, s)
+    return all(chosen >> i & 1 or m & chosen
+               for i, m in enumerate(_effective_adjacency(g)))
 
 
 def is_total_dominating(g: FuzzyGraph, s: Iterable[str]) -> bool:
     """True iff every vertex of g has an effective neighbor in s."""
-    chosen = {g.vertices[g.index(v)] for v in s}
-    adj = _effective_adjacency(g)
-    return all(adj[i] & chosen for i in range(len(g.vertices)))
+    chosen = _chosen_mask(g, s)
+    return all(m & chosen for m in _effective_adjacency(g))
 
 
 def has_total_dominating(g: FuzzyGraph) -> bool:
@@ -80,15 +84,9 @@ def has_total_dominating(g: FuzzyGraph) -> bool:
 
 def _solve(g: FuzzyGraph, kind: Kind) -> DominationResult:
     n = len(g.vertices)
-    adj = _effective_adjacency(g)
-    idx = _index_map(g)
-
-    masks = []
-    for i in range(n):
-        m = 1 << i if kind == "dominating" else 0
-        for nbr in adj[i]:
-            m |= 1 << idx[nbr]
-        masks.append(m)
+    masks = _effective_adjacency(g)
+    if kind == "dominating":
+        masks = [m | 1 << i for i, m in enumerate(masks)]
 
     scale = lcm(*(s.denominator for s in g.sigma)) if n else 1
     weights = [int(s * scale) for s in g.sigma]
@@ -98,9 +96,9 @@ def _solve(g: FuzzyGraph, kind: Kind) -> DominationResult:
         return DominationResult(kind=kind, status="nonexistent",
                                 optimum=None, witness=None)
     weight, mask = solved
-    witness = tuple(g.vertices[i] for i in range(n) if mask >> i & 1)
     return DominationResult(kind=kind, status="found",
-                            optimum=Fraction(weight, scale), witness=witness)
+                            optimum=Fraction(weight, scale),
+                            witness=g.members(mask))
 
 
 def min_dominating(g: FuzzyGraph) -> DominationResult:

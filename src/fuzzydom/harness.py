@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Literal, Optional, Sequence
 
 from . import fileformat
@@ -58,7 +59,13 @@ from .domination import (
     min_dominating,
     min_total_dominating,
 )
-from .product import direct_product, fiber_left, fiber_right, is_complete_product
+from .product import (
+    direct_product,
+    fiber_left,
+    fiber_right,
+    is_complete_product,
+    missing_product_edge,
+)
 from .weights import format_weight
 
 # grid denominators whose squares divide 10**6, so every generated mu
@@ -153,49 +160,41 @@ class _PairContext:
         self.g = g
         self.h = h
         self._alpha_override = alpha_override
-        self._memo: dict = {}
 
-    def _get(self, key: str, thunk: Callable):
-        if key not in self._memo:
-            self._memo[key] = thunk()
-        return self._memo[key]
-
-    @property
+    @cached_property
     def product(self) -> FuzzyGraph:
-        return self._get("product", lambda: direct_product(self.g, self.h))
+        return direct_product(self.g, self.h)
 
-    @property
+    @cached_property
     def order(self) -> Fraction:
-        return self._get("order", lambda: fuzzy_order(self.product))
+        return fuzzy_order(self.product)
 
-    @property
+    @cached_property
     def tot_left(self) -> DominationResult:
-        return self._get("tot_left", lambda: min_total_dominating(self.g))
+        return min_total_dominating(self.g)
 
-    @property
+    @cached_property
     def tot_right(self) -> DominationResult:
-        return self._get("tot_right", lambda: min_total_dominating(self.h))
+        return min_total_dominating(self.h)
 
-    @property
+    @cached_property
     def tot_product(self) -> DominationResult:
-        return self._get("tot_product", lambda: min_total_dominating(self.product))
+        return min_total_dominating(self.product)
 
-    @property
+    @cached_property
     def dom_product(self) -> DominationResult:
-        return self._get("dom_product", lambda: min_dominating(self.product))
+        return min_dominating(self.product)
 
-    @property
+    @cached_property
     def alpha(self) -> Optional[Fraction]:
         """Level for the alpha claims; None when no positive level applies."""
-        def derive() -> Optional[Fraction]:
-            if self._alpha_override is not None:
-                return self._alpha_override if self._alpha_override > 0 else None
-            sigmas = self.g.sigma + self.h.sigma
-            if not sigmas:
-                return None
-            low = min(sigmas)
-            return low if low > 0 else None
-        return self._get("alpha", derive)
+        if self._alpha_override is not None:
+            return self._alpha_override if self._alpha_override > 0 else None
+        sigmas = self.g.sigma + self.h.sigma
+        if not sigmas:
+            return None
+        low = min(sigmas)
+        return low if low > 0 else None
 
     def sigma_at_least_alpha(self) -> bool:
         a = self.alpha
@@ -205,13 +204,11 @@ class _PairContext:
         return (len(self.g.vertices) >= 2 and len(self.h.vertices) >= 2
                 and is_crisp_connected(self.g) and is_crisp_connected(self.h))
 
-    @property
+    @cached_property
     def proof_function(self) -> AlphaFunction:
-        def build() -> AlphaFunction:
-            assert self.tot_product.found and self.alpha is not None
-            return proof_function_total(self.product, self.tot_product.witness,
-                                        self.alpha)
-        return self._get("proof_function", build)
+        assert self.tot_product.found and self.alpha is not None
+        return proof_function_total(self.product, self.tot_product.witness,
+                                    self.alpha)
 
 
 def _check_t1(ctx: _PairContext) -> CheckResult:
@@ -331,25 +328,14 @@ def _check_t5(ctx: _PairContext) -> CheckResult:
 def _check_t6(ctx: _PairContext) -> CheckResult:
     if not (is_complete(ctx.g) and is_complete(ctx.h)):
         return CheckResult("not-applicable")
-    if is_complete_product(ctx.product):
+    missing = missing_product_edge(ctx.product)
+    if missing is None:
         return CheckResult("holds")
-    tag = ctx.product.product_tag
-    offending = None
-    for i, u in enumerate(ctx.product.vertices):
-        for j in range(i + 1, len(ctx.product.vertices)):
-            v = ctx.product.vertices[j]
-            li, ri = tag.factors[i]
-            lj, rj = tag.factors[j]
-            if li != lj and ri != rj and not is_effective(ctx.product, u, v):
-                offending = [u, v]
-                break
-        if offending:
-            break
     return CheckResult("violated", {
         "left_complete": True,
         "right_complete": True,
         "product_complete": False,
-        "offending_pair": offending,
+        "offending_pair": list(missing),
     })
 
 
@@ -576,16 +562,6 @@ class TheoremReport:
     counterexamples: list[dict] = field(default_factory=list)
     wall_time_ms: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "quote_anchor": self.quote_anchor,
-            "instances_checked": self.instances_checked,
-            "status": self.status,
-            "counterexamples": self.counterexamples,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
 
 class ForcedTheoremViolation(AssertionError):
     """A mathematically forced claim failed: the implementation is buggy."""
@@ -603,15 +579,14 @@ def run_corpus(
     theorem_ids: Optional[Sequence[str]] = None,
     alpha: Optional[Fraction] = None,
     fail_on_forced: bool = False,
-    max_counterexamples: int = MAX_STORED_COUNTEREXAMPLES,
 ) -> list[TheoremReport]:
     """Check the requested claims over generated pairs and aggregate reports.
 
     Reports come back in registry order. Violations of hypothesis claims are
-    shrunk and recorded (up to max_counterexamples per claim). Violations of
-    forced claims raise ForcedTheoremViolation when fail_on_forced is set;
-    otherwise they are recorded like any counterexample so the caller can
-    inspect the evidence.
+    shrunk and recorded (up to MAX_STORED_COUNTEREXAMPLES per claim).
+    Violations of forced claims raise ForcedTheoremViolation when
+    fail_on_forced is set; otherwise they are recorded like any
+    counterexample so the caller can inspect the evidence.
     """
     if theorem_ids is None:
         selected = list(THEOREM_IDS)
@@ -643,7 +618,8 @@ def run_corpus(
             if result.status == "violated":
                 violations[tid] += 1
                 record = None
-                if REGISTRY[tid].forced or len(stored[tid]) < max_counterexamples:
+                room = len(stored[tid]) < MAX_STORED_COUNTEREXAMPLES
+                if REGISTRY[tid].forced or room:
                     small_g, small_h = shrink(g, h, tid, alpha)
                     verdict = check_theorem(tid, small_g, small_h, alpha)
                     assert verdict.status == "violated"
@@ -654,7 +630,7 @@ def run_corpus(
                     }
                 if REGISTRY[tid].forced and fail_on_forced:
                     raise ForcedTheoremViolation(tid, record)
-                if record is not None and len(stored[tid]) < max_counterexamples:
+                if record is not None and room:
                     stored[tid].append(record)
             elapsed[tid] += time.perf_counter() - start
 
@@ -678,7 +654,7 @@ def run_corpus(
 
 
 def reports_to_json(reports: Sequence[TheoremReport]) -> list[dict]:
-    return [r.to_json() for r in reports]
+    return [asdict(r) for r in reports]
 
 
 def save_report(reports: Sequence[TheoremReport], path: str) -> None:

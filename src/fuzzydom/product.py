@@ -21,8 +21,7 @@ from .core import (
     FuzzyGraph,
     ProductTag,
     GraphError,
-    fuzzy_order,
-    is_effective,
+    _effective_adjacency,
     validate,
 )
 
@@ -95,12 +94,6 @@ def direct_product(
     return product
 
 
-def product_order(product: FuzzyGraph) -> Fraction:
-    """Sum of vertex memberships of a product graph."""
-    _require_tag(product)
-    return fuzzy_order(product)
-
-
 def fiber_left(product: FuzzyGraph, left_vertex: str) -> tuple[str, ...]:
     """Product vertices whose left coordinate is the given factor vertex."""
     tag = _require_tag(product)
@@ -121,6 +114,22 @@ def fiber_right(product: FuzzyGraph, right_vertex: str) -> tuple[str, ...]:
                  if r == right_vertex)
 
 
+def missing_product_edge(product: FuzzyGraph) -> Optional[tuple[str, str]]:
+    """First coordinate-distinct vertex pair that is not an effective edge.
+
+    Pairs (i, j) with i < j are scanned row-major over vertex positions;
+    None means there is no such pair.
+    """
+    tag = _require_tag(product)
+    adj = _effective_adjacency(product)
+    for i, (li, ri) in enumerate(tag.factors):
+        for j in range(i + 1, len(tag.factors)):
+            lj, rj = tag.factors[j]
+            if li != lj and ri != rj and not adj[i] >> j & 1:
+                return product.vertices[i], product.vertices[j]
+    return None
+
+
 def is_complete_product(product: FuzzyGraph) -> bool:
     """True iff every coordinate-distinct vertex pair is an effective edge.
 
@@ -128,14 +137,4 @@ def is_complete_product(product: FuzzyGraph) -> bool:
     never join them, so demanding adjacency there would make completeness
     unsatisfiable for any product with a repeated coordinate.
     """
-    tag = _require_tag(product)
-    n = len(product.vertices)
-    for i in range(n):
-        li, ri = tag.factors[i]
-        for j in range(i + 1, n):
-            lj, rj = tag.factors[j]
-            if li == lj or ri == rj:
-                continue
-            if not is_effective(product, product.vertices[i], product.vertices[j]):
-                return False
-    return True
+    return missing_product_edge(product) is None

@@ -18,7 +18,7 @@ from fuzzydom.alpha import (
     gamma_t_alpha,
     verify_alpha_function,
 )
-from fuzzydom.core import FuzzyGraph, effective_edges, is_complete
+from fuzzydom.core import FuzzyGraph, effective_edges, fuzzy_order, is_complete
 from fuzzydom.domination import brute_force_min, min_dominating, min_total_dominating
 from fuzzydom.fileformat import dumps
 from fuzzydom.harness import (
@@ -30,7 +30,7 @@ from fuzzydom.harness import (
     reports_to_json,
     run_corpus,
 )
-from fuzzydom.product import direct_product, is_complete_product, product_order
+from fuzzydom.product import direct_product, is_complete_product
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def test_criterion_1_worked_product_example(capsys):
     tot = min_total_dominating(p)
     dom = min_dominating(p)
     elapsed = time.perf_counter() - start
-    ok = (product_order(p) == F(7, 10)
+    ok = (fuzzy_order(p) == F(7, 10)
           and is_complete(g) and is_complete(h)
           and is_complete_product(p)
           and tot.optimum == F(7, 10)

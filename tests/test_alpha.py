@@ -11,7 +11,6 @@ from fuzzydom.alpha import (
     build_lp,
     gamma_alpha,
     gamma_t_alpha,
-    proof_function_closed,
     proof_function_total,
     verify_alpha_function,
 )
@@ -96,16 +95,6 @@ def test_proof_function_total_caps_fiber_mass(example_product):
     # g1's fiber holds 0.3 of chosen mass, capped at 2 * alpha = 0.2
     assert f.value_of("g1") == F(1, 5)
     assert f.value_of("g2") == F(1, 5)
-
-
-def test_proof_function_closed_counts_crisply(example_product):
-    tot = min_total_dominating(example_product)
-    crisp = proof_function_closed(example_product, tot.witness, F(3, 2) / 3,
-                                  cardinality_mode="crisp-count")
-    fuzzy = proof_function_closed(example_product, tot.witness, F(1, 2))
-    assert crisp.mode == "closed" and fuzzy.mode == "closed"
-    assert crisp.value_of("g1") == F(1)  # two chosen vertices, capped at 1.0
-    assert fuzzy.value_of("g1") == F(3, 10)  # their fuzzy mass instead
 
 
 def test_lp_oracle_matches_simplex_on_fixture(p3_mixed):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from fuzzydom.core import (
     FuzzyGraph,
@@ -147,3 +147,28 @@ def test_neighborhood_symmetry(g):
         for u in open_neighborhood(g, v):
             assert v in open_neighborhood(g, u)
             assert u != v
+
+
+_LOOP_AND_WEAK_EDGE = FuzzyGraph.build(
+    "loop-and-weak-edge", [("a", "0.3"), ("b", "0.2"), ("c", "0.2")],
+    [("a", "a", "0.3"), ("a", "b", "0.1"), ("a", "c", "0.2"), ("b", "c", "0.2")])
+
+
+@given(graphs())
+@example(_LOOP_AND_WEAK_EDGE)
+def test_every_reader_agrees_with_the_effectiveness_rule(g):
+    sigma = dict(zip(g.vertices, g.sigma))
+    effective = {frozenset((u, v)) for u, v, mu in g.edges
+                 if u != v and mu == min(sigma[u], sigma[v])}
+    neighbors = {u: tuple(v for v in g.vertices if frozenset((u, v)) in effective)
+                 for u in g.vertices}
+    for u in g.vertices:
+        assert open_neighborhood(g, u) == neighbors[u]
+        assert closed_neighborhood(g, u) == tuple(
+            v for v in g.vertices if v == u or v in neighbors[u])
+        for v in g.vertices:
+            assert is_effective(g, u, v) == (frozenset((u, v)) in effective)
+    assert effective_edges(g) == tuple(
+        e for e in g.edges if frozenset(e[:2]) in effective)
+    assert effective_degree_counts(g) == tuple(
+        len(neighbors[u]) for u in g.vertices)

@@ -13,7 +13,7 @@ from fuzzydom.product import (
     fiber_left,
     fiber_right,
     is_complete_product,
-    product_order,
+    missing_product_edge,
 )
 
 from .conftest import graphs
@@ -36,11 +36,6 @@ def test_edges_pair_effective_factor_edges(example_product):
     )
 
 
-def test_product_order(example_product, p3_product):
-    assert product_order(example_product) == Fraction(7, 10)
-    assert product_order(p3_product) == Fraction(11, 10)
-
-
 def test_fibers(example_product):
     assert fiber_left(example_product, "g1") == ("g1|h1", "g1|h2")
     assert fiber_right(example_product, "h2") == ("g1|h2", "g2|h2")
@@ -50,12 +45,17 @@ def test_fibers(example_product):
 
 def test_product_order_requires_tag(k2_low):
     with pytest.raises(MissingTagError):
-        product_order(k2_low)
+        is_complete_product(k2_low)
 
 
 def test_completeness(example_product, p3_product):
     assert is_complete_product(example_product)
     assert not is_complete_product(p3_product)
+
+
+def test_missing_product_edge_is_first_in_scan_order(example_product, p3_product):
+    assert missing_product_edge(p3_product) == ("g1|h1", "g2|h2")
+    assert missing_product_edge(example_product) is None
 
 
 def test_non_effective_factor_edges_do_not_lift(p3_product):
