@@ -56,7 +56,6 @@ class LpInstance:
 class AlphaFunction:
     """A vertex assignment with the alpha level and neighborhood mode it targets."""
 
-    graph_name: str
     vertex_ids: tuple[str, ...]
     values: tuple[Fraction, ...]
     alpha: Fraction
@@ -73,13 +72,6 @@ class AlphaFunction:
     @property
     def weight(self) -> Fraction:
         return sum(self.values, Fraction(0))
-
-    def value_of(self, vid: str) -> Fraction:
-        try:
-            return self.values[self.vertex_ids.index(vid)]
-        except ValueError:
-            raise UnknownVertexError(
-                f"no assignment value for vertex {vid!r}") from None
 
 
 def build_lp(g: FuzzyGraph, alpha: Fraction, mode: Mode) -> LpInstance:
@@ -109,8 +101,8 @@ def _solve_to_function(g: FuzzyGraph, alpha: Fraction,
     if solved is None:
         return None
     _, assignment = solved
-    return AlphaFunction(graph_name=g.name, vertex_ids=g.vertices,
-                         values=assignment, alpha=Fraction(alpha), mode=mode)
+    return AlphaFunction(vertex_ids=g.vertices, values=assignment,
+                         alpha=Fraction(alpha), mode=mode)
 
 
 def gamma_t_alpha(g: FuzzyGraph, alpha: Fraction) -> Optional[AlphaFunction]:
@@ -145,15 +137,6 @@ def verify_alpha_function(g: FuzzyGraph, f: AlphaFunction) -> list[str]:
     return violated
 
 
-def _left_factor_ids(product: FuzzyGraph) -> tuple[str, ...]:
-    tag = _require_tag(product)
-    seen: list[str] = []
-    for left_id, _ in tag.factors:
-        if left_id not in seen:
-            seen.append(left_id)
-    return tuple(seen)
-
-
 def proof_function_total(product: FuzzyGraph, s: Iterable[str],
                          alpha: Fraction) -> AlphaFunction:
     """Left-factor function f(g) = min(2*alpha, covered fuzzy mass of g's fiber).
@@ -168,12 +151,11 @@ def proof_function_total(product: FuzzyGraph, s: Iterable[str],
     tag = _require_tag(product)
     chosen = {product.vertices[product.index(v)] for v in s}
     cap = 2 * alpha
-    ids = _left_factor_ids(product)
+    ids = tuple(dict.fromkeys(left_id for left_id, _ in tag.factors))
     values = tuple(
         min(cap, fuzzy_cardinality(product, chosen & set(fiber_left(product, g))))
         for g in ids)
-    return AlphaFunction(graph_name=tag.left_name, vertex_ids=ids,
-                         values=values, alpha=cap, mode="open")
+    return AlphaFunction(vertex_ids=ids, values=values, alpha=cap, mode="open")
 
 
 def brute_force_lp_min(lp: LpInstance) -> Optional[Fraction]:

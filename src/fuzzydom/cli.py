@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import fileformat, harness
 from .alpha import gamma_alpha, gamma_t_alpha
-from .core import GraphError, validate
+from .core import GraphError
 from .domination import DominationResult, brute_force_min, min_dominating, \
     min_total_dominating, TooLargeError
 from .product import direct_product
@@ -35,10 +35,20 @@ def _positive_weight_arg(text: str) -> Fraction:
     return value
 
 
+# CLI key -> (GenParams field, parser of the raw value)
+_GEN_PARAMS_KEYS = {"vertices": ("vertex_count", int),
+                    "edge-prob": ("edge_probability", parse_weight),
+                    "effective-prob": ("effective_probability", parse_weight),
+                    "grid": ("sigma_grid", int)}
+
+
 def _gen_params_arg(text: str) -> dict:
-    """Parse "vertices=3,edge-prob=0.5,effective-prob=0.5,grid=10"."""
-    fields = {"vertices": None, "edge-prob": Fraction(1, 2),
-              "effective-prob": Fraction(1, 2), "grid": 10}
+    """Parse "vertices=3,edge-prob=0.5,effective-prob=0.5,grid=10".
+
+    Returns GenParams keyword arguments for everything but the seed.
+    """
+    fields = {"vertex_count": None, "edge_probability": Fraction(1, 2),
+              "effective_probability": Fraction(1, 2), "sigma_grid": 10}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -49,20 +59,16 @@ def _gen_params_arg(text: str) -> dict:
         key, _, raw = part.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key not in _GEN_PARAMS_KEYS:
+            raise argparse.ArgumentTypeError(
+                f"unknown params key {key!r} "
+                f"(expected {', '.join(_GEN_PARAMS_KEYS)})")
+        field, parse = _GEN_PARAMS_KEYS[key]
         try:
-            if key == "vertices":
-                fields[key] = int(raw)
-            elif key in ("edge-prob", "effective-prob"):
-                fields[key] = parse_weight(raw)
-            elif key == "grid":
-                fields[key] = int(raw)
-            else:
-                raise argparse.ArgumentTypeError(
-                    f"unknown params key {key!r} (expected vertices, "
-                    "edge-prob, effective-prob, grid)")
+            fields[field] = parse(raw)
         except (ValueError, WeightError) as exc:
             raise argparse.ArgumentTypeError(f"{key}: {exc}") from exc
-    if fields["vertices"] is None:
+    if fields["vertex_count"] is None:
         raise argparse.ArgumentTypeError("params must set vertices=N")
     return fields
 
@@ -99,18 +105,13 @@ def _print_domination(result: DominationResult) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        graph = fileformat.load(args.file)
+        fileformat.load(args.file)
     except fileformat.ValidationFailedError as exc:
         for violation in exc.violations:
             print(violation)
         return 1
     except (fileformat.FileFormatError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    problems = validate(graph)
-    if problems:  # unreachable via load, kept for direct-document safety
-        for violation in problems:
-            print(violation)
         return 1
     print("ok")
     return 0
@@ -185,21 +186,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     pairs = []
     try:
         for i in range(args.seeds):
-            left = harness.GenParams(
-                vertex_count=args.left_params["vertices"],
-                edge_probability=args.left_params["edge-prob"],
-                effective_probability=args.left_params["effective-prob"],
-                sigma_grid=args.left_params["grid"],
-                seed=args.base_seed + 2 * i,
-            )
-            right = harness.GenParams(
-                vertex_count=args.right_params["vertices"],
-                edge_probability=args.right_params["edge-prob"],
-                effective_probability=args.right_params["effective-prob"],
-                sigma_grid=args.right_params["grid"],
-                seed=args.base_seed + 2 * i + 1,
-            )
-            pairs.append((left, right))
+            seed = args.base_seed + 2 * i
+            pairs.append((harness.GenParams(**args.left_params, seed=seed),
+                          harness.GenParams(**args.right_params,
+                                            seed=seed + 1)))
         reports = harness.run_corpus(pairs, theorem_ids=args.theorems,
                                      alpha=args.alpha)
     except ValueError as exc:

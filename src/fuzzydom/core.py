@@ -23,11 +23,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .weights import parse_weight
 
-WeightLike = Union[Fraction, str, int]
+WeightLike = Union[Fraction, str]
 
 _ID_RE = re.compile(r"[^\s,()]+\Z")
 
@@ -47,10 +47,6 @@ class UnknownVertexError(GraphError):
 def _coerce_weight(value: WeightLike, where: str) -> Fraction:
     if isinstance(value, str):
         return parse_weight(value)
-    if isinstance(value, bool):
-        raise GraphStructureError(f"{where}: weight must be a rational or string")
-    if isinstance(value, int):
-        value = Fraction(value)
     if not isinstance(value, Fraction):
         raise GraphStructureError(f"{where}: weight must be a rational or string")
     if not 0 <= value <= 1:
@@ -78,9 +74,6 @@ class ProductTag:
     separator: str
     factors: tuple[tuple[str, str], ...]
 
-    def factor_of(self, graph: "FuzzyGraph", vid: str) -> tuple[str, str]:
-        return self.factors[graph.index(vid)]
-
 
 @dataclass(frozen=True)
 class FuzzyGraph:
@@ -106,8 +99,10 @@ class FuzzyGraph:
     ) -> "FuzzyGraph":
         """Assemble a graph, rejecting structurally ambiguous input.
 
-        Rejected here: bad id tokens, duplicate vertex ids, unknown edge
-        endpoints, duplicate unordered edge pairs, out-of-range weights.
+        Weights are decimal strings (parse_weight) or Fractions. Rejected
+        here: bad id tokens, duplicate vertex ids, unknown edge endpoints,
+        duplicate unordered edge pairs, weights of any other type (int and
+        bool included), out-of-range weights.
         Loops and mu > min sigma are representable; validate() reports them.
         """
         if isinstance(vertices, Mapping):
@@ -145,9 +140,6 @@ class FuzzyGraph:
             return _index_map(self)[vid]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {vid!r} in graph {self.name!r}") from None
-
-    def sigma_of(self, vid: str) -> Fraction:
-        return self.sigma[self.index(vid)]
 
     def members(self, mask: int) -> tuple[str, ...]:
         """The vertices whose index bit is set in mask, in input order."""

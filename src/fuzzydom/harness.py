@@ -144,10 +144,6 @@ class CheckResult:
     witness: Optional[dict] = None
 
 
-def _fmt(value: Fraction) -> str:
-    return format_weight(value)
-
-
 class _PairContext:
     """Lazy shared computations for one (g, h) pair.
 
@@ -272,12 +268,12 @@ def _check_t3(ctx: _PairContext) -> CheckResult:
     if cross_ok and product_ok:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "nu_t_left": _fmt(ctx.tot_left.optimum),
-        "nu_t_right": _fmt(ctx.tot_right.optimum),
+        "nu_t_left": format_weight(ctx.tot_left.optimum),
+        "nu_t_right": format_weight(ctx.tot_right.optimum),
         "left_witness_size": len(d1),
         "right_witness_size": len(d2),
-        "bound": _fmt(bound),
-        "nu_t_product": (_fmt(ctx.tot_product.optimum)
+        "bound": format_weight(bound),
+        "nu_t_product": (format_weight(ctx.tot_product.optimum)
                          if ctx.tot_product.found else "nonexistent"),
         "cross_set_total_dominating": cross_ok,
     })
@@ -294,9 +290,9 @@ def _unique_neighbor_claim(ctx: _PairContext, graph: FuzzyGraph,
     if value_matches == unique_everywhere:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "nu_t_product": (_fmt(ctx.tot_product.optimum)
+        "nu_t_product": (format_weight(ctx.tot_product.optimum)
                          if ctx.tot_product.found else "nonexistent"),
-        "order": _fmt(ctx.order),
+        "order": format_weight(ctx.order),
         "value_matches_order": value_matches,
         "degree_side": side,
         "all_degrees_one": unique_everywhere,
@@ -319,8 +315,8 @@ def _check_t5(ctx: _PairContext) -> CheckResult:
     if count % 2 == 0:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "nu_t_product": _fmt(ctx.tot_product.optimum),
-        "order": _fmt(ctx.order),
+        "nu_t_product": format_weight(ctx.tot_product.optimum),
+        "order": format_weight(ctx.order),
         "vertex_count": count,
     })
 
@@ -364,8 +360,8 @@ def _check_t8(ctx: _PairContext) -> CheckResult:
     if value_matches == no_effective:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "nu_product": _fmt(ctx.dom_product.optimum),
-        "order": _fmt(ctx.order),
+        "nu_product": format_weight(ctx.dom_product.optimum),
+        "order": format_weight(ctx.order),
         "value_matches_order": value_matches,
         "product_has_effective_edge": not no_effective,
     })
@@ -384,10 +380,10 @@ def _check_t9(ctx: _PairContext) -> CheckResult:
     if ctx.tot_product.optimum >= bound:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "alpha": _fmt(alpha),
-        "nu_t_product": _fmt(ctx.tot_product.optimum),
-        "gamma_t_2alpha_left": _fmt(left.weight),
-        "gamma_t_2alpha_right": _fmt(right.weight),
+        "alpha": format_weight(alpha),
+        "nu_t_product": format_weight(ctx.tot_product.optimum),
+        "gamma_t_2alpha_left": format_weight(left.weight),
+        "gamma_t_2alpha_right": format_weight(right.weight),
     })
 
 
@@ -401,10 +397,10 @@ def _check_t10(ctx: _PairContext) -> CheckResult:
     if ctx.dom_product.optimum >= bound:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "alpha": _fmt(alpha),
-        "nu_product": _fmt(ctx.dom_product.optimum),
-        "gamma_2alpha_left": _fmt(left.weight),
-        "gamma_2alpha_right": _fmt(right.weight),
+        "alpha": format_weight(alpha),
+        "nu_product": format_weight(ctx.dom_product.optimum),
+        "gamma_2alpha_left": format_weight(left.weight),
+        "gamma_2alpha_right": format_weight(right.weight),
     })
 
 
@@ -417,9 +413,9 @@ def _check_t11(ctx: _PairContext) -> CheckResult:
     if not violated_at:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "alpha": _fmt(ctx.alpha),
+        "alpha": format_weight(ctx.alpha),
         "set": list(ctx.tot_product.witness),
-        "function": {vid: _fmt(val)
+        "function": {vid: format_weight(val)
                      for vid, val in zip(f.vertex_ids, f.values)},
         "violated_at": violated_at,
     })
@@ -433,10 +429,10 @@ def _check_t12(ctx: _PairContext) -> CheckResult:
     if f.weight <= cardinality:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "alpha": _fmt(ctx.alpha),
+        "alpha": format_weight(ctx.alpha),
         "set": list(ctx.tot_product.witness),
-        "set_cardinality": _fmt(cardinality),
-        "function_weight": _fmt(f.weight),
+        "set_cardinality": format_weight(cardinality),
+        "function_weight": format_weight(f.weight),
     })
 
 
@@ -445,44 +441,43 @@ class TheoremSpec:
     theorem_id: str
     quote_anchor: str
     forced: bool
-    needs_alpha: bool
     check: Callable[[_PairContext], CheckResult]
 
 
 _SPECS = (
     TheoremSpec("T1", "effective factor pairs lift: g1~g2 and h1~h2 imply "
-                      "g1h1~g2h2 in the product", True, False, _check_t1),
+                      "g1h1~g2h2 in the product", True, _check_t1),
     TheoremSpec("T2a", "if both factors have a total dominating set then so "
-                       "does the product", True, False, _check_t2a),
+                       "does the product", True, _check_t2a),
     TheoremSpec("T2b", "if the product has a total dominating set then so do "
-                       "both factors", False, False, _check_t2b),
+                       "both factors", False, _check_t2b),
     TheoremSpec("T3", "nu_t(GxH) <= min(|D2| * nu_t(G), |D1| * nu_t(H)) for "
                       "minimum total dominating sets D1, D2 of the factors",
-                True, False, _check_t3),
+                True, _check_t3),
     TheoremSpec("T4a", "nu_t(GxH) = p iff every product vertex has exactly "
-                       "one effective neighbor", False, False, _check_t4a),
+                       "one effective neighbor", False, _check_t4a),
     TheoremSpec("T4b", "nu_t(GxH) = p iff every left-factor vertex has "
-                       "exactly one effective neighbor", False, False, _check_t4b),
+                       "exactly one effective neighbor", False, _check_t4b),
     TheoremSpec("T5", "nu_t(GxH) = p implies the product has an even number "
-                      "of vertices", False, False, _check_t5),
-    TheoremSpec("T6", "complete factors give a complete product", True, False,
+                      "of vertices", False, _check_t5),
+    TheoremSpec("T6", "complete factors give a complete product", True,
                 _check_t6),
     TheoremSpec("T7", "in a complete product every left and right fiber is a "
-                      "dominating set", True, False, _check_t7),
+                      "dominating set", True, _check_t7),
     TheoremSpec("T8", "nu(GxH) = p iff the product has no effective edge",
-                False, False, _check_t8),
+                False, _check_t8),
     TheoremSpec("T9", "nu_t(GxH) >= max(gamma_t^2a(G), gamma_t^2a(H)) for "
                       "nontrivial connected factors with sigma >= a", False,
-                True, _check_t9),
+                _check_t9),
     TheoremSpec("T10", "nu(GxH) >= max(gamma^2a(G), gamma^2a(H)) for "
                        "nontrivial connected factors with sigma >= a", False,
-                True, _check_t10),
+                _check_t10),
     TheoremSpec("T11", "f(g) = min(2a, fc(S within g's fiber)) built from a "
                        "minimum total dominating set S of the product is a "
                        "total 2a-dominating function of the left factor",
-                False, True, _check_t11),
+                False, _check_t11),
     TheoremSpec("T12", "the fiber function f(g) = min(2a, fc(S within g's "
-                       "fiber)) has weight w(f) <= fc(S)", True, True,
+                       "fiber)) has weight w(f) <= fc(S)", True,
                 _check_t12),
 )
 
@@ -511,45 +506,33 @@ def shrink(g: FuzzyGraph, h: FuzzyGraph, theorem_id: str,
     if check_theorem(theorem_id, g, h, alpha).status != "violated":
         raise ValueError("shrink requires a violating instance")
 
-    def without_vertex(graph: FuzzyGraph, idx: int) -> FuzzyGraph:
-        vid = graph.vertices[idx]
-        return FuzzyGraph.build(
-            name=graph.name,
-            vertices=[(v, s) for v, s in zip(graph.vertices, graph.sigma)
-                      if v != vid],
-            edges=[e for e in graph.edges if vid not in (e[0], e[1])])
-
-    def without_edge(graph: FuzzyGraph, idx: int) -> FuzzyGraph:
-        return FuzzyGraph.build(
-            name=graph.name,
-            vertices=list(zip(graph.vertices, graph.sigma)),
-            edges=[e for k, e in enumerate(graph.edges) if k != idx])
+    def without(graph: FuzzyGraph, part: str, idx: int) -> FuzzyGraph:
+        vertices = list(zip(graph.vertices, graph.sigma))
+        edges = list(graph.edges)
+        if part == "vertices":
+            vid = vertices.pop(idx)[0]
+            edges = [e for e in edges if vid not in (e[0], e[1])]
+        else:
+            del edges[idx]
+        return FuzzyGraph.build(name=graph.name, vertices=vertices,
+                                edges=edges)
 
     pair = [g, h]
     changed = True
     while changed:
         changed = False
         for side in (0, 1):
-            i = 0
-            while i < len(pair[side].vertices):
-                candidate = without_vertex(pair[side], i)
-                trial = [candidate if k == side else pair[k] for k in (0, 1)]
-                if check_theorem(theorem_id, trial[0], trial[1],
-                                 alpha).status == "violated":
-                    pair[side] = candidate
-                    changed = True
-                else:
-                    i += 1
-            i = 0
-            while i < len(pair[side].edges):
-                candidate = without_edge(pair[side], i)
-                trial = [candidate if k == side else pair[k] for k in (0, 1)]
-                if check_theorem(theorem_id, trial[0], trial[1],
-                                 alpha).status == "violated":
-                    pair[side] = candidate
-                    changed = True
-                else:
-                    i += 1
+            for part in ("vertices", "edges"):
+                i = 0
+                while i < len(getattr(pair[side], part)):
+                    trial = list(pair)
+                    trial[side] = without(pair[side], part, i)
+                    if check_theorem(theorem_id, *trial,
+                                     alpha).status == "violated":
+                        pair = trial
+                        changed = True
+                    else:
+                        i += 1
     return pair[0], pair[1]
 
 
@@ -670,11 +653,7 @@ def replay_counterexample(theorem_id: str, record: dict) -> CheckResult:
     g = fileformat.graph_of_document(record["g"])
     h = fileformat.graph_of_document(record["h"])
     witness = record.get("witness") or {}
-    alpha = None
-    if "alpha" in witness:
-        from .weights import parse_weight
-
-        alpha = parse_weight(witness["alpha"])
+    alpha = Fraction(witness["alpha"]) if "alpha" in witness else None
     return check_theorem(theorem_id, g, h, alpha)
 
 

@@ -45,7 +45,6 @@ def direct_product(
     left: FuzzyGraph,
     right: FuzzyGraph,
     separator: str = "|",
-    name: Optional[str] = None,
 ) -> FuzzyGraph:
     """Build the direct product of two valid fuzzy graphs.
 
@@ -86,7 +85,7 @@ def direct_product(
     tag = ProductTag(left_name=left.name, right_name=right.name,
                      separator=separator, factors=tuple(factors))
     product = FuzzyGraph.build(
-        name=name if name is not None else f"{left.name}x{right.name}",
+        name=f"{left.name}x{right.name}",
         vertices=vertices, edges=edges, product_tag=tag)
     # min(mu1, mu2) <= min of all four sigmas, so this can only fire on a bug
     problems = validate(product)
@@ -94,24 +93,26 @@ def direct_product(
     return product
 
 
+def _fiber(product: FuzzyGraph, side: str, vid: str) -> tuple[str, ...]:
+    tag = _require_tag(product)
+    k = 0 if side == "left" else 1
+    fiber = tuple(v for v, pair in zip(product.vertices, tag.factors)
+                  if pair[k] == vid)
+    if not fiber:
+        name = tag.left_name if k == 0 else tag.right_name
+        raise ProductError(
+            f"{vid!r} is not a vertex of the {side} factor {name!r}")
+    return fiber
+
+
 def fiber_left(product: FuzzyGraph, left_vertex: str) -> tuple[str, ...]:
     """Product vertices whose left coordinate is the given factor vertex."""
-    tag = _require_tag(product)
-    if all(l != left_vertex for l, _ in tag.factors):
-        raise ProductError(
-            f"{left_vertex!r} is not a vertex of the left factor {tag.left_name!r}")
-    return tuple(v for v, (l, _) in zip(product.vertices, tag.factors)
-                 if l == left_vertex)
+    return _fiber(product, "left", left_vertex)
 
 
 def fiber_right(product: FuzzyGraph, right_vertex: str) -> tuple[str, ...]:
     """Product vertices whose right coordinate is the given factor vertex."""
-    tag = _require_tag(product)
-    if all(r != right_vertex for _, r in tag.factors):
-        raise ProductError(
-            f"{right_vertex!r} is not a vertex of the right factor {tag.right_name!r}")
-    return tuple(v for v, (_, r) in zip(product.vertices, tag.factors)
-                 if r == right_vertex)
+    return _fiber(product, "right", right_vertex)
 
 
 def missing_product_edge(product: FuzzyGraph) -> Optional[tuple[str, str]]:

@@ -3,16 +3,20 @@
 Solves min c.x subject to rows.x >= rhs, x >= 0, with every number a
 fractions.Fraction. Intended for the small covering programs this package
 produces (0/1 rows, positive right-hand sides, unit costs), but written
-against the general form.
+for any nonnegative costs and rows.
 
 Bland's rule is used unconditionally for both the entering and the leaving
 choice: covering programs are highly degenerate and exact arithmetic makes
-cycling a real possibility, while instance sizes here make speed a
-non-issue. The solver is fully deterministic: identical input produces an
-identical basic optimal solution.
+cycling a real possibility. Bland's rule is not the fastest pivoting rule,
+and the simplex is a measurable share of a claim-checking run, but it is
+what keeps the chosen basis, and so every reported assignment, fixed. The
+solver is fully deterministic: identical input produces an identical basic
+optimal solution.
 
-Costs must be nonnegative; together with x >= 0 that bounds the objective
-below, so the solve can end only in "optimal" or "infeasible".
+Costs and right-hand sides must be nonnegative; ValueError otherwise.
+Nonnegative costs with x >= 0 bound the objective below, so the solve can
+end only in "optimal" or "infeasible". Nonnegative right-hand sides let
+every row start from its own artificial column in phase 1.
 """
 
 from __future__ import annotations
@@ -41,29 +45,20 @@ def simplex_minimize(
         raise ValueError("costs must be nonnegative to keep the program bounded")
     if len(rhs) != m or any(len(r) != n for r in rows):
         raise ValueError("inconsistent constraint dimensions")
+    if any(b < 0 for b in rhs):
+        raise ValueError("right-hand sides must be nonnegative")
     if m == 0:
         return zero, tuple([zero] * n)
 
-    # Normalize every row to rhs >= 0, flipping ">=" rows with negative rhs
-    # would change their sense; instead multiply row and rhs by -1 and keep
-    # the inequality as "<=" encoded via the surplus sign. Simpler and
-    # sufficient here: rewrite each constraint as equality
-    #     row.x - s_i = rhs_i   (surplus s_i >= 0)      when rhs_i >= 0
-    #     -row.x + s_i = -rhs_i (slack s_i >= 0)        when rhs_i < 0
-    # so the stored equality always has a nonnegative right-hand side.
+    # Each constraint becomes the equality row.x - s_i + a_i = rhs_i with
+    # surplus s_i >= 0 and artificial a_i >= 0.
     # Columns: x (n) | s (m) | artificial (m).
     width = n + 2 * m
     tab: list[list[Fraction]] = []
     for i in range(m):
-        coeffs = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        surplus = -one
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-            surplus = one
-        line = coeffs + [zero] * (2 * m) + [b]
-        line[n + i] = surplus
+        line = ([Fraction(v) for v in rows[i]] + [zero] * (2 * m)
+                + [Fraction(rhs[i])])
+        line[n + i] = -one
         line[n + m + i] = one
         tab.append(line)
     basis = [n + m + i for i in range(m)]

@@ -37,7 +37,7 @@ def effective_triangle():
 def test_single_edge_total(effective_k2):
     f = gamma_t_alpha(effective_k2, F(3, 10))
     assert f.weight == F(3, 5)  # each endpoint must carry alpha for the other
-    assert f.value_of("u") == F(3, 10)
+    assert f.values == (F(3, 10), F(3, 10))
     assert verify_alpha_function(effective_k2, f) == []
 
 
@@ -69,19 +69,19 @@ def test_alpha_must_be_positive(effective_k2):
 
 def test_verify_reports_short_rows(effective_k2):
     # v's open row reads f(u) = 0.3 >= alpha, but u's row reads f(v) = 0.2
-    f = AlphaFunction(graph_name="k2", vertex_ids=("u", "v"),
+    f = AlphaFunction(vertex_ids=("u", "v"),
                       values=(F(3, 10), F(2, 10)), alpha=F(3, 10), mode="open")
     assert verify_alpha_function(effective_k2, f) == ["u"]
 
-    both_short = AlphaFunction(graph_name="k2", vertex_ids=("u", "v"),
+    both_short = AlphaFunction(vertex_ids=("u", "v"),
                                values=(F(1, 10), F(2, 10)), alpha=F(3, 10),
                                mode="open")
     assert verify_alpha_function(effective_k2, both_short) == ["u", "v"]
 
 
 def test_verify_requires_full_coverage(effective_k2):
-    f = AlphaFunction(graph_name="k2", vertex_ids=("u",), values=(F(1),),
-                      alpha=F(1, 10), mode="open")
+    f = AlphaFunction(vertex_ids=("u",), values=(F(1),), alpha=F(1, 10),
+                      mode="open")
     with pytest.raises(UnknownVertexError):
         verify_alpha_function(effective_k2, f)
 
@@ -93,8 +93,7 @@ def test_proof_function_total_caps_fiber_mass(example_product):
     assert f.alpha == F(1, 5)  # records the doubled level it targets
     assert f.mode == "open"
     # g1's fiber holds 0.3 of chosen mass, capped at 2 * alpha = 0.2
-    assert f.value_of("g1") == F(1, 5)
-    assert f.value_of("g2") == F(1, 5)
+    assert f.values == (F(1, 5), F(1, 5))
 
 
 def test_lp_oracle_matches_simplex_on_fixture(p3_mixed):

@@ -57,6 +57,12 @@ def test_build_rejects_out_of_range_weights():
         FuzzyGraph.build("g", [("a", Fraction(3, 2))])
 
 
+@pytest.mark.parametrize("weight", [1, True])
+def test_build_rejects_weights_that_are_not_fractions_or_strings(weight):
+    with pytest.raises(GraphStructureError, match="rational or string"):
+        FuzzyGraph.build("g", [("a", weight)])
+
+
 def test_validate_reports_loop_and_mu_violation():
     g = FuzzyGraph.build("g", [("a", "0.3"), ("b", "0.2")],
                          [("a", "a", "0.1"), ("a", "b", "0.3")])

@@ -42,8 +42,6 @@ def test_registry_partition():
                            "T6", "T7", "T8", "T9", "T10", "T11", "T12")
     assert set(FORCED_IDS) == {"T1", "T2a", "T3", "T6", "T7", "T12"}
     assert set(HYPOTHESIS_IDS) == set(THEOREM_IDS) - set(FORCED_IDS)
-    for tid in ("T9", "T10", "T11", "T12"):
-        assert REGISTRY[tid].needs_alpha
 
 
 def test_gen_is_deterministic():
@@ -57,7 +55,8 @@ def test_gen_is_deterministic():
 def test_gen_respects_probability_extremes():
     dense = gen_random(params(seed=1, n=5, edge=F(1), eff=F(1)))
     assert len(dense.edges) == 10
-    assert all(mu == min(dense.sigma_of(u), dense.sigma_of(v))
+    assert all(mu == min(dense.sigma[dense.index(u)],
+                         dense.sigma[dense.index(v)])
                for u, v, mu in dense.edges)
     empty = gen_random(params(seed=1, n=5, edge=F(0)))
     assert empty.edges == ()
@@ -214,12 +213,22 @@ def test_run_corpus_counterexamples_replay():
         assert replay_counterexample(tid, record).status == "violated"
 
 
+def test_counterexamples_at_a_non_decimal_alpha_replay():
+    # 1/30 has no decimal form, so the witnesses record alpha as "1/30"
+    pairs = [(params(2 * i), params(2 * i + 1)) for i in range(60)]
+    reports = run_corpus(pairs, theorem_ids=["T9", "T10", "T11", "T12"],
+                         alpha=F(1, 30))
+    js = reports_to_json(reports)
+    stored = [r for e in js for r in e["counterexamples"]]
+    assert stored and all(r["witness"]["alpha"] == "1/30" for r in stored)
+    assert replay_report(js) == []
+
+
 def test_forced_violation_raises_when_requested(monkeypatch):
     import fuzzydom.harness as harness
 
     broken = harness.TheoremSpec(
         theorem_id="T1", quote_anchor=REGISTRY["T1"].quote_anchor, forced=True,
-        needs_alpha=False,
         check=lambda ctx: harness.CheckResult("violated", {"fake": True}))
     monkeypatch.setitem(harness.REGISTRY, "T1", broken)
     with pytest.raises(ForcedTheoremViolation):

@@ -25,8 +25,9 @@ def test_vertices_are_left_major_pairs(example_product):
 
 
 def test_sigma_is_pairwise_min(example_product):
-    assert example_product.sigma_of("g1|h1") == Fraction(3, 20)
-    assert example_product.sigma_of("g2|h2") == Fraction(1, 5)
+    p = example_product
+    assert p.sigma[p.index("g1|h1")] == Fraction(3, 20)
+    assert p.sigma[p.index("g2|h2")] == Fraction(1, 5)
 
 
 def test_edges_pair_effective_factor_edges(example_product):
@@ -39,8 +40,10 @@ def test_edges_pair_effective_factor_edges(example_product):
 def test_fibers(example_product):
     assert fiber_left(example_product, "g1") == ("g1|h1", "g1|h2")
     assert fiber_right(example_product, "h2") == ("g1|h2", "g2|h2")
-    with pytest.raises(ProductError):
+    with pytest.raises(ProductError, match="left factor"):
         fiber_left(example_product, "h1")  # right-factor id
+    with pytest.raises(ProductError, match="right factor"):
+        fiber_right(example_product, "g1")  # left-factor id
 
 
 def test_product_order_requires_tag(k2_low):
@@ -83,7 +86,8 @@ def test_product_membership_structure(g, h):
     tag = p.product_tag
     for vid, (gu, hu) in zip(p.vertices, tag.factors):
         assert vid == f"{gu}|{hu}"
-        assert p.sigma_of(vid) == min(g.sigma_of(gu), h.sigma_of(hu))
+        assert p.sigma[p.index(vid)] == min(g.sigma[g.index(gu)],
+                                            h.sigma[h.index(hu)])
 
 
 @given(graphs(max_vertices=4), graphs(max_vertices=4))
@@ -94,7 +98,7 @@ def test_product_edges_iff_both_factor_pairs_effective(g, h):
         for b in p.vertices:
             if a == b:
                 continue
-            ga, ha = tag.factor_of(p, a)
-            gb, hb = tag.factor_of(p, b)
+            ga, ha = tag.factors[p.index(a)]
+            gb, hb = tag.factors[p.index(b)]
             expected = is_effective(g, ga, gb) and is_effective(h, ha, hb)
             assert is_effective(p, a, b) == expected

@@ -32,10 +32,9 @@ def test_infeasible_row_returns_none():
     assert simplex_minimize([F(1)], [[F(0)]], [F(1)]) is None
 
 
-def test_negative_rhs_rows_are_vacuous():
-    value, x = simplex_minimize([F(1)], [[F(1)]], [F(-2)])
-    assert value == 0
-    assert x == (0,)
+def test_rejects_negative_rhs():
+    with pytest.raises(ValueError, match="right-hand sides"):
+        simplex_minimize([F(1)], [[F(1)]], [F(-2)])
 
 
 def test_redundant_duplicate_rows():
