@@ -10,6 +10,11 @@ one bitmask per vertex, bit j of entry i set exactly when {i, j} is an
 effective edge (loops never set a bit). Every predicate, neighborhood,
 solver and LP row in the package reads those masks.
 
+Each graph owns its id -> position map (_positions), so a vertex lookup is
+one dict read and never hashes the graph. _effective_adjacency is the one
+cache keyed on graphs left, because perfbench counts retained graphs by the
+entries of this module's lru caches.
+
 FuzzyGraph is immutable. Vertices keep their input order and every
 set-valued result is returned sorted by that order, which makes all
 downstream output (witnesses, neighborhoods, serialized files)
@@ -22,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 from .weights import parse_weight
@@ -135,9 +140,13 @@ class FuzzyGraph:
         return cls(name=name, vertices=tuple(ids), sigma=tuple(sigmas),
                    edges=tuple(canon), product_tag=product_tag)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {vid: i for i, vid in enumerate(self.vertices)}
+
     def index(self, vid: str) -> int:
         try:
-            return _index_map(self)[vid]
+            return self._positions[vid]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {vid!r} in graph {self.name!r}") from None
 
@@ -147,15 +156,10 @@ class FuzzyGraph:
 
 
 @lru_cache(maxsize=None)
-def _index_map(g: FuzzyGraph) -> dict[str, int]:
-    return {vid: i for i, vid in enumerate(g.vertices)}
-
-
-@lru_cache(maxsize=None)
 def _effective_adjacency(g: FuzzyGraph) -> tuple[int, ...]:
     """Bit j of entry i is set iff {i, j} is an effective edge."""
     masks = [0] * len(g.vertices)
-    idx = _index_map(g)
+    idx = g._positions
     for u, v, mu in g.edges:
         i, j = idx[u], idx[v]
         if i != j and mu == min(g.sigma[i], g.sigma[j]):
@@ -172,7 +176,7 @@ def validate(g: FuzzyGraph) -> list[str]:
     Weight-range problems are still reported for graphs assembled directly.
     """
     violations: list[str] = []
-    idx = {vid: i for i, vid in enumerate(g.vertices)}
+    idx = g._positions
     for vid, s in zip(g.vertices, g.sigma):
         if not 0 <= s <= 1:
             violations.append(f"sigma out of range on {vid}")
@@ -234,7 +238,7 @@ def is_crisp_connected(g: FuzzyGraph) -> bool:
     n = len(g.vertices)
     if n <= 1:
         return True
-    idx = _index_map(g)
+    idx = g._positions
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v, mu in g.edges:
         if u == v or mu == 0:
@@ -255,5 +259,5 @@ def is_crisp_connected(g: FuzzyGraph) -> bool:
 def effective_edges(g: FuzzyGraph) -> tuple[tuple[str, str, Fraction], ...]:
     """The subset of edges along which domination acts."""
     adj = _effective_adjacency(g)
-    idx = _index_map(g)
+    idx = g._positions
     return tuple(e for e in g.edges if adj[idx[e[0]]] >> idx[e[1]] & 1)

@@ -109,22 +109,15 @@ def simplex_minimize(
         return None
 
     # Drive leftover artificials out of the basis (they sit at value 0).
+    # Each row is a row of B^-1 times [A | -I | I]; a row zero over the x
+    # and s columns would make that row of B^-1 zero, so a real column with
+    # a nonzero entry always exists.
     for i in range(m):
         if basis[i] >= n + m:
-            replacement = next(
-                (j for j in range(n + m) if tab[i][j] != 0), None)
-            if replacement is not None:
-                pivot(i, replacement)
-    # Rows still basic in an artificial are all-zero over real columns:
-    # redundant equalities, safe to drop.
-    keep = [i for i in range(m) if basis[i] < n + m]
-    if len(keep) != m:
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
+            pivot(i, next(j for j in range(n + m) if tab[i][j] != 0))
 
-    phase2 = list(costs) + [zero] * (2 * len(rows))
-    optimize(phase2, n + len(rows))
+    phase2 = list(costs) + [zero] * (2 * m)
+    optimize(phase2, n + m)
 
     x = [zero] * n
     for i in range(m):

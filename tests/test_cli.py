@@ -5,6 +5,8 @@ import json
 import pytest
 
 from fuzzydom.cli import main
+from fuzzydom.core import FuzzyGraph
+from fuzzydom.domination import BRUTE_FORCE_LIMIT
 from fuzzydom.fileformat import dumps, load, save
 from fuzzydom.product import direct_product
 
@@ -74,6 +76,21 @@ def test_dominate_oracle_agrees(files, capsys):
     fast = capsys.readouterr().out
     assert main(["dominate", "--oracle", files["product"]]) == 0
     assert capsys.readouterr().out == fast
+
+
+def test_dominate_missing_file(tmp_path, capsys):
+    assert main(["dominate", str(tmp_path / "nope.fg")]) == 1
+    assert "nope.fg" in capsys.readouterr().err
+
+
+def test_dominate_oracle_refuses_large_graphs(tmp_path, capsys):
+    path = tmp_path / "large.fg"
+    ids = [f"v{i}" for i in range(BRUTE_FORCE_LIMIT + 1)]
+    save(FuzzyGraph.build("large", [(v, "0.5") for v in ids]), str(path))
+    assert main(["dominate", "--oracle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(BRUTE_FORCE_LIMIT) in captured.err
 
 
 def test_product_roundtrip(files, tmp_path, k2_low, k2_even, capsys):

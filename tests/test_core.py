@@ -81,6 +81,18 @@ def test_unknown_vertex_lookup(k2_low):
         k2_low.index("nope")
 
 
+def test_vertex_lookups_never_hash_the_graph(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the graph was hashed")
+
+    monkeypatch.setattr(FuzzyGraph, "__hash__", refuse)
+    g = FuzzyGraph.build("g", [("a", "0.5"), ("b", "0.2")], [("a", "b", "0.3")])
+    assert g.index("b") == 1
+    with pytest.raises(UnknownVertexError):
+        g.index("zz")
+    assert validate(g) == ["mu exceeds min sigma on (a,b)"]
+
+
 def test_effectiveness_is_exact_equality(p3_mixed):
     assert not is_effective(p3_mixed, "g1", "g2")  # 0.1 < min = 0.15
     assert is_effective(p3_mixed, "g2", "g3")

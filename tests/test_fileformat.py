@@ -1,10 +1,13 @@
 """On-disk JSON format: canonical serialization, strict parsing, DOT export."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+from fuzzydom.core import FuzzyGraph
 from fuzzydom.fileformat import (
     FileFormatError,
     ValidationFailedError,
@@ -92,6 +95,66 @@ def test_product_ids_must_split_on_the_separator():
     }
     with pytest.raises(FileFormatError, match="exactly once"):
         graph_of_document(doc)
+
+
+def _doc(**changes):
+    doc = {"name": "g", "vertices": [{"id": "a", "sigma": "0.5"}], "edges": []}
+    return {**doc, **changes}
+
+
+def _product_doc(vertex_id="a|b", **block_changes):
+    block = {"left": "g", "right": "h", "separator": "|", **block_changes}
+    return _doc(vertices=[{"id": vertex_id, "sigma": "0.5"}], product_of=block)
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    pytest.param([], "document root must be a JSON object", id="root"),
+    pytest.param(_doc(name=3), "name must be a string", id="name"),
+    pytest.param(_doc(vertices={}), "vertices and edges must be arrays",
+                 id="vertices-array"),
+    pytest.param(_doc(edges="ab"), "vertices and edges must be arrays",
+                 id="edges-array"),
+    pytest.param(_doc(vertices=["a"]), "vertices[0] must be an object",
+                 id="vertex-entry"),
+    pytest.param(_doc(edges=[["a", "a", "0.1"]]), "edges[0] must be an object",
+                 id="edge-entry"),
+    pytest.param(_doc(vertices=[{"id": 1, "sigma": "0.5"}]),
+                 "vertices[0].id must be a string", id="vertex-id"),
+    pytest.param(_doc(edges=[{"u": "a", "v": 2, "mu": "0.1"}]),
+                 "edges[0] endpoints must be strings", id="edge-endpoint"),
+    pytest.param(_doc(product_of="gxh"), "product_of must be an object",
+                 id="product-block"),
+    pytest.param(_product_doc(separator=""),
+                 "separator must be a nonempty string", id="separator"),
+    pytest.param(_product_doc("|b"), "has an empty factor side",
+                 id="factor-side"),
+    pytest.param(_product_doc(left=1), "factor names must be strings",
+                 id="factor-name"),
+    pytest.param(_doc(vertices=[{"id": "a", "sigma": "0.1234567"}]),
+                 "vertices[0].sigma: '0.1234567' has 7 fractional digits",
+                 id="over-precise"),
+    pytest.param(_doc(edges=[{"u": "a", "v": "a", "mu": "1.5"}]),
+                 "edges[0].mu: '1.5' is outside [0, 1]", id="out-of-range"),
+    pytest.param(_doc(vertices=[{"id": "a", "sigma": "0.5"}] * 2),
+                 "duplicate vertex id 'a'", id="graph-error"),
+])
+def test_document_rejections_name_the_problem(doc, fragment):
+    with pytest.raises(FileFormatError, match=re.escape(fragment)):
+        graph_of_document(doc)
+
+
+def test_document_of_refuses_non_decimal_weights():
+    g = FuzzyGraph.build("g", [("a", Fraction(1, 3))])
+    with pytest.raises(FileFormatError, match="no exact decimal form"):
+        document_of(g)
+
+
+def test_load_prefixes_the_path_to_schema_errors(tmp_path):
+    path = tmp_path / "list.fg"
+    path.write_text("[]")
+    with pytest.raises(FileFormatError,
+                       match=re.escape(f"{path}: document root must be")):
+        load(str(path))
 
 
 def test_loaded_product_supports_fibers(example_product, tmp_path):

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
-from fuzzydom.core import is_effective, validate
+from fuzzydom.core import FuzzyGraph, is_effective, validate
 from fuzzydom.product import (
     MissingTagError,
     ProductError,
@@ -62,7 +62,8 @@ def test_missing_product_edge_is_first_in_scan_order(example_product, p3_product
 
 
 def test_non_effective_factor_edges_do_not_lift(p3_product):
-    # g1-g2 is not effective in the left factor, so no product edge uses it
+    # g1-g2 is not effective in the left factor, and its mu = 0.1 is below
+    # every sigma, so no product edge built on it is effective either
     assert not is_effective(p3_product, "g1|h1", "g2|h2")
     assert is_effective(p3_product, "g2|h1", "g3|h2")
 
@@ -70,6 +71,18 @@ def test_non_effective_factor_edges_do_not_lift(p3_product):
 def test_separator_conflicts_are_rejected(k2_low, k2_even):
     with pytest.raises(ProductError):
         direct_product(k2_low, k2_even, separator="1")
+
+
+def test_invalid_factor_is_rejected_by_name(k2_even):
+    bad = FuzzyGraph.build("bad", [("g1", "0.2"), ("g2", "0.3")],
+                           [("g1", "g2", "0.25")])
+    with pytest.raises(ProductError, match="factor 'bad' is not a valid"):
+        direct_product(bad, k2_even)
+
+
+def test_empty_separator_is_rejected(k2_low, k2_even):
+    with pytest.raises(ProductError, match="separator must be nonempty"):
+        direct_product(k2_low, k2_even, separator="")
 
 
 def test_custom_separator(k2_low, k2_even):
@@ -90,15 +103,33 @@ def test_product_membership_structure(g, h):
                                             h.sigma[h.index(hu)])
 
 
+# g1-g2 is not effective (mu 0.4 < 0.5), yet g1|h1-g2|h2 is: min(0.4, 0.2)
+# is 0.2, the least of its four sigmas
+_NON_EFFECTIVE_LEFT = FuzzyGraph.build(
+    "g", [("g1", "0.5"), ("g2", "0.5")], [("g1", "g2", "0.4")])
+_LOW_RIGHT = FuzzyGraph.build(
+    "h", [("h1", "0.2"), ("h2", "0.2")], [("h1", "h2", "0.2")])
+
+
 @given(graphs(max_vertices=4), graphs(max_vertices=4))
-def test_product_edges_iff_both_factor_pairs_effective(g, h):
+@example(_NON_EFFECTIVE_LEFT, _LOW_RIGHT)
+def test_product_edge_is_effective_iff_min_mu_is_the_least_sigma(g, h):
     p = direct_product(g, h)
     tag = p.product_tag
+    g_mu = {frozenset((u, v)): mu for u, v, mu in g.edges}
+    h_mu = {frozenset((u, v)): mu for u, v, mu in h.edges}
     for a in p.vertices:
         for b in p.vertices:
             if a == b:
                 continue
             ga, ha = tag.factors[p.index(a)]
             gb, hb = tag.factors[p.index(b)]
-            expected = is_effective(g, ga, gb) and is_effective(h, ha, hb)
+            mu1 = g_mu.get(frozenset((ga, gb)))
+            mu2 = h_mu.get(frozenset((ha, hb)))
+            least_sigma = min(g.sigma[g.index(ga)], g.sigma[g.index(gb)],
+                              h.sigma[h.index(ha)], h.sigma[h.index(hb)])
+            expected = (mu1 is not None and mu2 is not None
+                        and min(mu1, mu2) == least_sigma)
             assert is_effective(p, a, b) == expected
+            if is_effective(g, ga, gb) and is_effective(h, ha, hb):
+                assert is_effective(p, a, b)  # T1: effective pairs always lift
