@@ -17,6 +17,7 @@ from .core import (
     ProductTag,
     GraphError,
     GraphStructureError,
+    InvalidGraphError,
     UnknownVertexError,
     closed_neighborhood,
     effective_edges,
@@ -26,7 +27,6 @@ from .core import (
     is_crisp_connected,
     is_effective,
     open_neighborhood,
-    validate,
 )
 from .weights import (
     MalformedWeightError,
@@ -100,6 +100,7 @@ __all__ = [
     "GenParams",
     "GraphError",
     "GraphStructureError",
+    "InvalidGraphError",
     "LpInstance",
     "MalformedWeightError",
     "MissingTagError",
@@ -150,6 +151,5 @@ __all__ = [
     "run_corpus",
     "save",
     "shrink",
-    "validate",
     "verify_alpha_function",
 ]

@@ -3,6 +3,7 @@
 Exit codes: 0 on success (including hypothesis-claim counterexamples,
 which are data, not errors), 1 when something is wrong with the input or
 a forced claim is violated, 2 for usage errors (argparse's convention).
+main is the one place that turns an input error into a message and exit 1.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ def _theorem_list_arg(text: str) -> list[str]:
     return ids
 
 
-def _load(path: str):
-    try:
-        return fileformat.load(path)
-    except (fileformat.FileFormatError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(1) from exc
-
-
 def _witness_text(witness: Sequence[str]) -> str:
     return "{" + ", ".join(witness) + "}"
 
@@ -110,44 +103,32 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for violation in exc.violations:
             print(violation)
         return 1
-    except (fileformat.FileFormatError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     print("ok")
     return 0
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    left = _load(args.left)
-    right = _load(args.right)
-    try:
-        product = direct_product(left, right, separator=args.separator)
-    except GraphError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    left = fileformat.load(args.left)
+    right = fileformat.load(args.right)
+    product = direct_product(left, right, separator=args.separator)
     fileformat.save(product, args.output)
     return 0
 
 
 def _cmd_dominate(args: argparse.Namespace) -> int:
-    graph = _load(args.file)
-    kind = "total" if args.total else "dominating"
-    try:
-        if args.oracle:
-            result = brute_force_min(graph, kind)
-        elif args.total:
-            result = min_total_dominating(graph)
-        else:
-            result = min_dominating(graph)
-    except TooLargeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    graph = fileformat.load(args.file)
+    if args.oracle:
+        result = brute_force_min(graph, "total" if args.total else "dominating")
+    elif args.total:
+        result = min_total_dominating(graph)
+    else:
+        result = min_dominating(graph)
     _print_domination(result)
     return 0
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
-    graph = _load(args.file)
+    graph = fileformat.load(args.file)
     if args.closed:
         result = gamma_alpha(graph, args.alpha)
         print(f"gamma = {format_weight(result.weight)}")
@@ -177,7 +158,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    graph = _load(args.file)
+    graph = fileformat.load(args.file)
     fileformat.export_dot(graph, args.output)
     return 0
 
@@ -289,9 +270,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
-    except OSError as exc:
+    except (GraphError, fileformat.FileFormatError, TooLargeError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

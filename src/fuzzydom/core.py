@@ -5,10 +5,16 @@ and mu(e) on every undirected edge. Domination in this package acts only
 along *effective* edges, the edges where mu equals min(sigma(u), sigma(v)),
 so the neighborhood functions here are all defined over effective edges.
 
+Validity is decided once, when the value is made: FuzzyGraph's
+constructor runs validate and raises InvalidGraphError on any violation, so
+every FuzzyGraph in existence is a fuzzy graph in Rosenfeld's sense (no
+loops, every weight in [0, 1], mu <= min sigma on every edge). Products,
+loaded files and generated graphs all pass through that one gate.
+
 _effective_adjacency is the one place that decides effectiveness: it gives
 one bitmask per vertex, bit j of entry i set exactly when {i, j} is an
-effective edge (loops never set a bit). Every predicate, neighborhood,
-solver and LP row in the package reads those masks.
+effective edge. Every predicate, neighborhood, solver and LP row in the
+package reads those masks.
 
 Each graph owns its id -> position map (_positions), so a vertex lookup is
 one dict read and never hashes the graph. _effective_adjacency is the one
@@ -28,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .weights import parse_weight
 
@@ -45,6 +51,14 @@ class GraphStructureError(GraphError):
     """The raw data cannot be assembled into a graph at all."""
 
 
+class InvalidGraphError(GraphStructureError):
+    """The graph breaks a fuzzy-graph invariant; violations lists each one."""
+
+    def __init__(self, name: str, violations: list[str]):
+        self.violations = violations
+        super().__init__(f"graph {name!r} is invalid: " + "; ".join(violations))
+
+
 class UnknownVertexError(GraphError):
     """A vertex id is not present in the graph."""
 
@@ -54,8 +68,6 @@ def _coerce_weight(value: WeightLike, where: str) -> Fraction:
         return parse_weight(value)
     if not isinstance(value, Fraction):
         raise GraphStructureError(f"{where}: weight must be a rational or string")
-    if not 0 <= value <= 1:
-        raise GraphStructureError(f"{where}: weight {value} outside [0, 1]")
     return value
 
 
@@ -82,10 +94,11 @@ class ProductTag:
 
 @dataclass(frozen=True)
 class FuzzyGraph:
-    """Immutable fuzzy graph.
+    """Immutable fuzzy graph, valid by construction.
 
     vertices: ids in input order; sigma: parallel membership degrees;
     edges: (u, v, mu) triples with u < v as strings, sorted by (u, v).
+    Construction raises InvalidGraphError when validate finds a violation.
     """
 
     name: str
@@ -94,11 +107,16 @@ class FuzzyGraph:
     edges: tuple[tuple[str, str, Fraction], ...]
     product_tag: Optional[ProductTag] = None
 
+    def __post_init__(self) -> None:
+        violations = validate(self)
+        if violations:
+            raise InvalidGraphError(self.name, violations)
+
     @classmethod
     def build(
         cls,
         name: str,
-        vertices: Union[Mapping[str, WeightLike], Iterable[tuple[str, WeightLike]]],
+        vertices: Iterable[tuple[str, WeightLike]],
         edges: Iterable[tuple[str, str, WeightLike]] = (),
         product_tag: Optional[ProductTag] = None,
     ) -> "FuzzyGraph":
@@ -107,17 +125,13 @@ class FuzzyGraph:
         Weights are decimal strings (parse_weight) or Fractions. Rejected
         here: bad id tokens, duplicate vertex ids, unknown edge endpoints,
         duplicate unordered edge pairs, weights of any other type (int and
-        bool included), out-of-range weights.
-        Loops and mu > min sigma are representable; validate() reports them.
+        bool included). The constructor then rejects out-of-range weights,
+        loops and mu > min sigma with InvalidGraphError.
         """
-        if isinstance(vertices, Mapping):
-            vertex_items = list(vertices.items())
-        else:
-            vertex_items = list(vertices)
         ids: list[str] = []
         sigmas: list[Fraction] = []
         seen: set[str] = set()
-        for vid, raw in vertex_items:
+        for vid, raw in vertices:
             _check_id(vid)
             if vid in seen:
                 raise GraphStructureError(f"duplicate vertex id {vid!r}")
@@ -162,7 +176,7 @@ def _effective_adjacency(g: FuzzyGraph) -> tuple[int, ...]:
     idx = g._positions
     for u, v, mu in g.edges:
         i, j = idx[u], idx[v]
-        if i != j and mu == min(g.sigma[i], g.sigma[j]):
+        if mu == min(g.sigma[i], g.sigma[j]):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return tuple(masks)
@@ -171,9 +185,10 @@ def _effective_adjacency(g: FuzzyGraph) -> tuple[int, ...]:
 def validate(g: FuzzyGraph) -> list[str]:
     """Return every violated fuzzy-graph invariant; empty list means valid.
 
-    Build() already rejects malformed structure, so on graphs made through
-    build() the possible findings are loops and mu exceeding min sigma.
-    Weight-range problems are still reported for graphs assembled directly.
+    FuzzyGraph's constructor calls this and refuses the value on any
+    finding, so on a graph that exists it returns []. The findings, in
+    order: sigma out of range per vertex, then per edge a loop, mu out of
+    range, or mu exceeding min sigma.
     """
     violations: list[str] = []
     idx = g._positions
@@ -241,7 +256,7 @@ def is_crisp_connected(g: FuzzyGraph) -> bool:
     idx = g._positions
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v, mu in g.edges:
-        if u == v or mu == 0:
+        if mu == 0:
             continue
         adj[idx[u]].append(idx[v])
         adj[idx[v]].append(idx[u])

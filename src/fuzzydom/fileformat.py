@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .core import FuzzyGraph, GraphError, ProductTag, is_effective, validate
+from .core import FuzzyGraph, GraphError, InvalidGraphError, ProductTag, is_effective
 from .weights import WeightError, format_weight, is_decimal_exact, parse_weight
 
 
@@ -87,7 +87,7 @@ def document_of(g: FuzzyGraph) -> dict:
 
 
 def graph_of_document(doc: Any) -> FuzzyGraph:
-    """Parse and validate a document dict; refuses invalid graphs."""
+    """Parse a document dict; an invalid graph raises ValidationFailedError."""
     if not isinstance(doc, dict):
         raise FileFormatError("document root must be a JSON object")
     _require_keys(doc, {"name", "vertices", "edges"}, {"product_of"}, "document")
@@ -142,15 +142,12 @@ def graph_of_document(doc: Any) -> FuzzyGraph:
                          separator=separator, factors=tuple(factors))
 
     try:
-        graph = FuzzyGraph.build(name=name, vertices=vertices, edges=edges,
-                                 product_tag=tag)
+        return FuzzyGraph.build(name=name, vertices=vertices, edges=edges,
+                                product_tag=tag)
+    except InvalidGraphError as exc:
+        raise ValidationFailedError(str(exc), exc.violations) from exc
     except GraphError as exc:
         raise FileFormatError(str(exc)) from exc
-    violations = validate(graph)
-    if violations:
-        raise ValidationFailedError(
-            f"graph {name!r} is invalid: " + "; ".join(violations), violations)
-    return graph
 
 
 def dumps(g: FuzzyGraph) -> str:
@@ -163,14 +160,20 @@ def save(g: FuzzyGraph, path: str) -> None:
 
 
 def load(path: str) -> FuzzyGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: document nests too deeply") from exc
     try:
         return graph_of_document(doc)
     except ValidationFailedError as exc:

@@ -49,6 +49,14 @@ def p3_product(p3_mixed, k2_even) -> FuzzyGraph:
     return direct_product(p3_mixed, k2_even)
 
 
+# hostile files: bytes that are not UTF-8, and nesting deeper than the
+# JSON decoder's recursion allows
+HOSTILE_FILES = [
+    (b"\xff\xfe{}", "not UTF-8 text: invalid start byte at byte 0"),
+    (b"[" * 100_000, "document nests too deeply"),
+]
+
+
 def gen_params_strategy(max_vertices: int = 6) -> st.SearchStrategy[GenParams]:
     probs = st.sampled_from(
         [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)])

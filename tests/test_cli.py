@@ -10,6 +10,8 @@ from fuzzydom.domination import BRUTE_FORCE_LIMIT
 from fuzzydom.fileformat import dumps, load, save
 from fuzzydom.product import direct_product
 
+from .conftest import HOSTILE_FILES
+
 
 @pytest.fixture
 def files(tmp_path, k2_low, k2_even, p3_mixed):
@@ -53,6 +55,17 @@ def test_validate_parse_error_position(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["validate", str(broken)]) == 1
     assert "parse error at line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", HOSTILE_FILES)
+def test_validate_hostile_file_is_an_input_error(tmp_path, capsys, content,
+                                                 message):
+    hostile = tmp_path / "hostile.fg"
+    hostile.write_bytes(content)
+    assert main(["validate", str(hostile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{hostile}: {message}\n"
 
 
 def test_dominate_output_format(files, capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from fuzzydom.core import (
     FuzzyGraph,
     GraphStructureError,
+    InvalidGraphError,
     UnknownVertexError,
     closed_neighborhood,
     effective_degree_counts,
@@ -64,12 +65,20 @@ def test_build_rejects_weights_that_are_not_fractions_or_strings(weight):
 
 
 def test_validate_reports_loop_and_mu_violation():
-    g = FuzzyGraph.build("g", [("a", "0.3"), ("b", "0.2")],
+    with pytest.raises(InvalidGraphError) as info:
+        FuzzyGraph.build("g", [("a", "0.3"), ("b", "0.2")],
                          [("a", "a", "0.1"), ("a", "b", "0.3")])
-    assert validate(g) == [
+    assert info.value.violations == [
         "loop on (a,a)",
         "mu exceeds min sigma on (a,b)",
     ]
+    assert str(info.value) == (
+        "graph 'g' is invalid: loop on (a,a); mu exceeds min sigma on (a,b)")
+
+
+def test_direct_construction_is_validated_too():
+    with pytest.raises(InvalidGraphError, match="sigma out of range on a"):
+        FuzzyGraph(name="g", vertices=("a",), sigma=(Fraction(3, 2),), edges=())
 
 
 def test_validate_passes_clean_graph(p3_mixed):
@@ -86,11 +95,13 @@ def test_vertex_lookups_never_hash_the_graph(monkeypatch):
         raise AssertionError("the graph was hashed")
 
     monkeypatch.setattr(FuzzyGraph, "__hash__", refuse)
-    g = FuzzyGraph.build("g", [("a", "0.5"), ("b", "0.2")], [("a", "b", "0.3")])
+    g = FuzzyGraph.build("g", [("a", "0.5"), ("b", "0.2")], [("a", "b", "0.2")])
     assert g.index("b") == 1
     with pytest.raises(UnknownVertexError):
         g.index("zz")
-    assert validate(g) == ["mu exceeds min sigma on (a,b)"]
+    with pytest.raises(InvalidGraphError) as info:
+        FuzzyGraph.build("g", [("a", "0.5"), ("b", "0.2")], [("a", "b", "0.3")])
+    assert info.value.violations == ["mu exceeds min sigma on (a,b)"]
 
 
 def test_effectiveness_is_exact_equality(p3_mixed):
@@ -101,9 +112,10 @@ def test_effectiveness_is_exact_equality(p3_mixed):
 
 
 def test_loops_are_never_effective():
-    g = FuzzyGraph.build("g", [("a", "0.3")], [("a", "a", "0.3")])
-    assert not is_effective(g, "a", "a")
-    assert open_neighborhood(g, "a") == ()
+    # a loop cannot even be built
+    with pytest.raises(InvalidGraphError) as info:
+        FuzzyGraph.build("g", [("a", "0.3")], [("a", "a", "0.3")])
+    assert info.value.violations == ["loop on (a,a)"]
 
 
 def test_neighborhoods_follow_input_order():
@@ -167,13 +179,13 @@ def test_neighborhood_symmetry(g):
             assert u != v
 
 
-_LOOP_AND_WEAK_EDGE = FuzzyGraph.build(
-    "loop-and-weak-edge", [("a", "0.3"), ("b", "0.2"), ("c", "0.2")],
-    [("a", "a", "0.3"), ("a", "b", "0.1"), ("a", "c", "0.2"), ("b", "c", "0.2")])
+_WEAK_EDGE = FuzzyGraph.build(
+    "weak-edge", [("a", "0.3"), ("b", "0.2"), ("c", "0.2")],
+    [("a", "b", "0.1"), ("a", "c", "0.2"), ("b", "c", "0.2")])
 
 
 @given(graphs())
-@example(_LOOP_AND_WEAK_EDGE)
+@example(_WEAK_EDGE)
 def test_every_reader_agrees_with_the_effectiveness_rule(g):
     sigma = dict(zip(g.vertices, g.sigma))
     effective = {frozenset((u, v)) for u, v, mu in g.edges

@@ -20,7 +20,7 @@ from fuzzydom.fileformat import (
 )
 from fuzzydom.product import direct_product
 
-from .conftest import graphs
+from .conftest import HOSTILE_FILES, graphs
 
 
 def test_roundtrip_preserves_everything(p3_mixed, tmp_path):
@@ -155,6 +155,30 @@ def test_load_prefixes_the_path_to_schema_errors(tmp_path):
     with pytest.raises(FileFormatError,
                        match=re.escape(f"{path}: document root must be")):
         load(str(path))
+
+
+@pytest.mark.parametrize("content, message", HOSTILE_FILES)
+def test_load_turns_hostile_input_into_file_format_errors(tmp_path, content,
+                                                          message):
+    path = tmp_path / "hostile.fg"
+    path.write_bytes(content)
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        load(str(path))
+
+
+def test_invalid_graph_message_names_the_graph_and_every_violation():
+    doc = {
+        "name": "bad",
+        "vertices": [{"id": "a", "sigma": "0.2"}, {"id": "b", "sigma": "0.3"}],
+        "edges": [{"u": "a", "v": "a", "mu": "0.1"},
+                  {"u": "a", "v": "b", "mu": "0.25"}],
+    }
+    with pytest.raises(ValidationFailedError) as info:
+        graph_of_document(doc)
+    assert info.value.violations == ["loop on (a,a)",
+                                     "mu exceeds min sigma on (a,b)"]
+    assert str(info.value) == ("graph 'bad' is invalid: loop on (a,a); "
+                               "mu exceeds min sigma on (a,b)")
 
 
 def test_loaded_product_supports_fibers(example_product, tmp_path):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 
-from fuzzydom.core import FuzzyGraph, is_effective, validate
+from fuzzydom import core
+from fuzzydom.core import FuzzyGraph, InvalidGraphError, is_effective, validate
 from fuzzydom.product import (
     MissingTagError,
     ProductError,
@@ -73,11 +74,23 @@ def test_separator_conflicts_are_rejected(k2_low, k2_even):
         direct_product(k2_low, k2_even, separator="1")
 
 
-def test_invalid_factor_is_rejected_by_name(k2_even):
-    bad = FuzzyGraph.build("bad", [("g1", "0.2"), ("g2", "0.3")],
-                           [("g1", "g2", "0.25")])
-    with pytest.raises(ProductError, match="factor 'bad' is not a valid"):
-        direct_product(bad, k2_even)
+def test_invalid_factor_is_rejected_by_name():
+    with pytest.raises(InvalidGraphError, match="graph 'bad' is invalid"):
+        FuzzyGraph.build("bad", [("g1", "0.2"), ("g2", "0.3")],
+                         [("g1", "g2", "0.25")])
+
+
+def test_product_is_validated_once(monkeypatch, k2_low, p3_mixed):
+    calls = []
+    original = core.validate
+
+    def counting(g):
+        calls.append(g.name)
+        return original(g)
+
+    monkeypatch.setattr(core, "validate", counting)
+    direct_product(p3_mixed, k2_low)
+    assert calls == ["p3-mixedxk2-low"]
 
 
 def test_empty_separator_is_rejected(k2_low, k2_even):
