@@ -16,10 +16,21 @@ one bitmask per vertex, bit j of entry i set exactly when {i, j} is an
 effective edge. Every predicate, neighborhood, solver and LP row in the
 package reads those masks.
 
+The fields hold Fractions, but validate and _effective_adjacency compare
+integers. _integer_view multiplies every sigma and mu by scale, the lcm of
+all their denominators, which makes each weight an integer and keeps every
+order and equality between weights exact. The view is computed when it is
+needed and never stored on the graph: _effective_adjacency's lru cache
+keeps every graph it has seen alive, so a stored view would stay in memory
+with each of them.
+
 Each graph owns its id -> position map (_positions), so a vertex lookup is
-one dict read and never hashes the graph. _effective_adjacency is the one
-cache keyed on graphs left, because perfbench counts retained graphs by the
-entries of this module's lru caches.
+one dict read and never hashes the graph. The hash itself is computed once
+per value and kept in the instance, since the fields never change; an
+lru_cache lookup after the first costs O(1) instead of hashing every
+Fraction. _effective_adjacency is the one cache keyed on graphs left,
+because perfbench counts retained graphs by the entries of this module's
+lru caches.
 
 FuzzyGraph is immutable. Vertices keep their input order and every
 set-valued result is returned sorted by that order, which makes all
@@ -34,6 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .weights import parse_weight
@@ -98,7 +110,9 @@ class FuzzyGraph:
 
     vertices: ids in input order; sigma: parallel membership degrees;
     edges: (u, v, mu) triples with u < v as strings, sorted by (u, v).
-    Construction raises InvalidGraphError when validate finds a violation.
+    Construction raises GraphStructureError when sigma and vertices differ
+    in length or an edge endpoint is not a vertex, and InvalidGraphError
+    when validate finds a violation.
     """
 
     name: str
@@ -108,9 +122,20 @@ class FuzzyGraph:
     product_tag: Optional[ProductTag] = None
 
     def __post_init__(self) -> None:
-        violations = validate(self)
+        if len(self.sigma) != len(self.vertices):
+            raise GraphStructureError(
+                f"graph {self.name!r} has {len(self.vertices)} vertices but "
+                f"{len(self.sigma)} sigma values")
+        violations = validate(self)  # _integer_view rejects unknown endpoints
         if violations:
             raise InvalidGraphError(self.name, violations)
+
+    def __hash__(self) -> int:
+        memo = self.__dict__
+        if "_hash" not in memo:
+            memo["_hash"] = hash((self.name, self.vertices, self.sigma,
+                                  self.edges, self.product_tag))
+        return memo["_hash"]
 
     @classmethod
     def build(
@@ -123,10 +148,11 @@ class FuzzyGraph:
         """Assemble a graph, rejecting structurally ambiguous input.
 
         Weights are decimal strings (parse_weight) or Fractions. Rejected
-        here: bad id tokens, duplicate vertex ids, unknown edge endpoints,
-        duplicate unordered edge pairs, weights of any other type (int and
-        bool included). The constructor then rejects out-of-range weights,
-        loops and mu > min sigma with InvalidGraphError.
+        here: bad id tokens, duplicate vertex ids, endpoints that are not
+        strings, duplicate unordered edge pairs, weights of any other type
+        (int and bool included). The constructor then rejects unknown
+        endpoints, and out-of-range weights, loops and mu > min sigma with
+        InvalidGraphError.
         """
         ids: list[str] = []
         sigmas: list[Fraction] = []
@@ -141,16 +167,15 @@ class FuzzyGraph:
         canon: list[tuple[str, str, Fraction]] = []
         pairs: set[tuple[str, str]] = set()
         for u, v, raw in edges:
-            if u not in seen:
-                raise GraphStructureError(f"edge endpoint {u!r} is not a vertex")
-            if v not in seen:
-                raise GraphStructureError(f"edge endpoint {v!r} is not a vertex")
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise GraphStructureError(
+                    f"edge endpoints must be strings, got ({u!r}, {v!r})")
             a, b = (u, v) if u <= v else (v, u)
             if (a, b) in pairs:
                 raise GraphStructureError(f"duplicate edge ({a},{b})")
             pairs.add((a, b))
             canon.append((a, b, _coerce_weight(raw, f"mu({a},{b})")))
-        canon.sort(key=lambda e: (e[0], e[1]))
+        canon.sort()  # pairs are unique, so mu is never compared
         return cls(name=name, vertices=tuple(ids), sigma=tuple(sigmas),
                    edges=tuple(canon), product_tag=product_tag)
 
@@ -169,14 +194,37 @@ class FuzzyGraph:
         return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
 
+def _integer_view(
+        g: FuzzyGraph) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+    """(scale, sigma, edges): every weight times scale, as an integer.
+
+    scale is the lcm of the denominators of all sigma and mu, so
+    a < b iff a * scale < b * scale with both sides integers. edges holds
+    (i, j, mu) with vertex positions, parallel to g.edges. An endpoint that
+    is not a vertex raises GraphStructureError.
+    """
+    denominators = {s.denominator for s in g.sigma}
+    denominators.update(mu.denominator for _, _, mu in g.edges)
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+    sigma = [s.numerator * factor[s.denominator] for s in g.sigma]
+    idx = g._positions
+    try:
+        edges = [(idx[u], idx[v], mu.numerator * factor[mu.denominator])
+                 for u, v, mu in g.edges]
+    except KeyError as exc:
+        raise GraphStructureError(
+            f"edge endpoint {exc.args[0]!r} is not a vertex") from None
+    return scale, sigma, edges
+
+
 @lru_cache(maxsize=None)
 def _effective_adjacency(g: FuzzyGraph) -> tuple[int, ...]:
     """Bit j of entry i is set iff {i, j} is an effective edge."""
-    masks = [0] * len(g.vertices)
-    idx = g._positions
-    for u, v, mu in g.edges:
-        i, j = idx[u], idx[v]
-        if mu == min(g.sigma[i], g.sigma[j]):
+    _, sigma, edges = _integer_view(g)
+    masks = [0] * len(sigma)
+    for i, j, mu in edges:
+        if mu == min(sigma[i], sigma[j]):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return tuple(masks)
@@ -190,18 +238,18 @@ def validate(g: FuzzyGraph) -> list[str]:
     order: sigma out of range per vertex, then per edge a loop, mu out of
     range, or mu exceeding min sigma.
     """
+    scale, sigma, edges = _integer_view(g)
     violations: list[str] = []
-    idx = g._positions
-    for vid, s in zip(g.vertices, g.sigma):
-        if not 0 <= s <= 1:
+    for vid, s in zip(g.vertices, sigma):
+        if not 0 <= s <= scale:
             violations.append(f"sigma out of range on {vid}")
-    for u, v, mu in g.edges:
-        if u == v:
+    for (u, v, _), (i, j, mu) in zip(g.edges, edges):
+        if i == j:
             violations.append(f"loop on ({u},{v})")
             continue
-        if not 0 <= mu <= 1:
+        if not 0 <= mu <= scale:
             violations.append(f"mu out of range on ({u},{v})")
-        if mu > min(g.sigma[idx[u]], g.sigma[idx[v]]):
+        if mu > min(sigma[i], sigma[j]):
             violations.append(f"mu exceeds min sigma on ({u},{v})")
     return violations
 

@@ -88,8 +88,8 @@ def _solve(g: FuzzyGraph, kind: Kind) -> DominationResult:
     if kind == "dominating":
         masks = [m | 1 << i for i, m in enumerate(masks)]
 
-    scale = lcm(*(s.denominator for s in g.sigma)) if n else 1
-    weights = [int(s * scale) for s in g.sigma]
+    scale = lcm(*(s.denominator for s in g.sigma))
+    weights = [s.numerator * (scale // s.denominator) for s in g.sigma]
 
     solved = _cover.solve_min_cover(masks, weights, (1 << n) - 1)
     if solved is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import AbstractSet, Any
 
 from .core import FuzzyGraph, GraphError, InvalidGraphError, ProductTag, is_effective
 from .weights import WeightError, format_weight, is_decimal_exact, parse_weight
@@ -41,8 +41,8 @@ class ValidationFailedError(FileFormatError):
         super().__init__(message)
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str],
-                  where: str) -> None:
+def _require_keys(obj: dict, required: AbstractSet[str],
+                  optional: AbstractSet[str], where: str) -> None:
     keys = set(obj)
     missing = required - keys
     extra = keys - required - optional
@@ -52,14 +52,28 @@ def _require_keys(obj: dict, required: set[str], optional: set[str],
         raise FileFormatError(f"{where}: unexpected keys {sorted(extra)}")
 
 
-def _weight_string(value: Any, where: str) -> Fraction:
+_VERTEX_KEYS = frozenset({"id", "sigma"})
+_EDGE_KEYS = frozenset({"u", "v", "mu"})
+
+
+def _weight_string(value: Any, literals: dict[str, Fraction], section: str,
+                   i: int, key: str) -> Fraction:
+    """The weight at section[i].key, parsed once per distinct literal.
+
+    A literal enters literals only after parse_weight accepts it, so a bad
+    one is reported at its first occurrence.
+    """
     if not isinstance(value, str):
         raise FileFormatError(
-            f"{where}: weights must be decimal strings, got {type(value).__name__}")
-    try:
-        return parse_weight(value)
-    except WeightError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+            f"{section}[{i}].{key}: weights must be decimal strings, "
+            f"got {type(value).__name__}")
+    weight = literals.get(value)
+    if weight is None:
+        try:
+            weight = literals[value] = parse_weight(value)
+        except WeightError as exc:
+            raise FileFormatError(f"{section}[{i}].{key}: {exc}") from exc
+    return weight
 
 
 def document_of(g: FuzzyGraph) -> dict:
@@ -97,24 +111,27 @@ def graph_of_document(doc: Any) -> FuzzyGraph:
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise FileFormatError("vertices and edges must be arrays")
 
+    literals: dict[str, Fraction] = {}
     vertices = []
     for i, entry in enumerate(doc["vertices"]):
         if not isinstance(entry, dict):
             raise FileFormatError(f"vertices[{i}] must be an object")
-        _require_keys(entry, {"id", "sigma"}, set(), f"vertices[{i}]")
+        if entry.keys() != _VERTEX_KEYS:
+            _require_keys(entry, _VERTEX_KEYS, set(), f"vertices[{i}]")
         if not isinstance(entry["id"], str):
             raise FileFormatError(f"vertices[{i}].id must be a string")
-        vertices.append((entry["id"], _weight_string(entry["sigma"],
-                                                     f"vertices[{i}].sigma")))
+        vertices.append((entry["id"], _weight_string(
+            entry["sigma"], literals, "vertices", i, "sigma")))
     edges = []
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict):
             raise FileFormatError(f"edges[{i}] must be an object")
-        _require_keys(entry, {"u", "v", "mu"}, set(), f"edges[{i}]")
+        if entry.keys() != _EDGE_KEYS:
+            _require_keys(entry, _EDGE_KEYS, set(), f"edges[{i}]")
         if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
             raise FileFormatError(f"edges[{i}] endpoints must be strings")
-        edges.append((entry["u"], entry["v"],
-                      _weight_string(entry["mu"], f"edges[{i}].mu")))
+        edges.append((entry["u"], entry["v"], _weight_string(
+            entry["mu"], literals, "edges", i, "mu")))
 
     tag = None
     if "product_of" in doc:

@@ -3,8 +3,14 @@
 Every sigma, mu, alpha and derived quantity in this package is a
 fractions.Fraction. Graph inputs enter through parse_weight, which only
 accepts decimal literals in [0, 1] with at most six fractional digits, so
-all graph weights have denominators dividing 10**6 and every comparison
-(in particular the "mu equals min sigma" effectiveness test) is exact.
+all graph weights have denominators dividing 10**6.
+
+Comparisons stay exact without Fraction arithmetic: core multiplies every
+weight of a graph by the lcm of their denominators, which makes each one an
+integer, and compares those (validity checks and the "mu equals min sigma"
+effectiveness test); domination scales sigma the same way for the cover
+search. Multiplying by a positive common multiple changes no order and no
+equality, and it holds for any Fraction, not only the 10**-6 grid.
 """
 
 from __future__ import annotations

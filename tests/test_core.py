@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from fuzzydom.core import (
     FuzzyGraph,
     GraphStructureError,
     InvalidGraphError,
     UnknownVertexError,
+    _effective_adjacency,
     closed_neighborhood,
     effective_degree_counts,
     effective_edges,
@@ -79,6 +80,27 @@ def test_validate_reports_loop_and_mu_violation():
 def test_direct_construction_is_validated_too():
     with pytest.raises(InvalidGraphError, match="sigma out of range on a"):
         FuzzyGraph(name="g", vertices=("a",), sigma=(Fraction(3, 2),), edges=())
+
+
+def test_constructor_rejects_sigma_of_the_wrong_length():
+    with pytest.raises(GraphStructureError,
+                       match=r"graph 'g' has 2 vertices but 1 sigma values"):
+        FuzzyGraph(name="g", vertices=("a", "b"), sigma=(Fraction(1, 2),),
+                   edges=())
+
+
+def test_constructor_rejects_unknown_endpoints():
+    with pytest.raises(GraphStructureError) as info:
+        FuzzyGraph(name="g", vertices=("a", "b"),
+                   sigma=(Fraction(1, 2), Fraction(1, 2)),
+                   edges=(("a", "z", Fraction(1, 10)),))
+    assert str(info.value) == "edge endpoint 'z' is not a vertex"
+    assert not isinstance(info.value, InvalidGraphError)
+
+
+def test_build_rejects_endpoints_that_are_not_strings():
+    with pytest.raises(GraphStructureError):
+        FuzzyGraph.build("g", [("a", "0.5")], [(1, "a", "0.1")])
 
 
 def test_validate_passes_clean_graph(p3_mixed):
@@ -202,3 +224,106 @@ def test_every_reader_agrees_with_the_effectiveness_rule(g):
         e for e in g.edges if frozenset(e[:2]) in effective)
     assert effective_degree_counts(g) == tuple(
         len(neighbors[u]) for u in g.vertices)
+
+
+# Raw FuzzyGraph fields with weights over mixed denominators, so the common
+# scale of the integer checks runs from 1 to beyond 10**13.
+_DENOMINATORS = (1, 3, 7, 999983, 10**6)
+
+
+def _over(denominator: int, low: int, high: int) -> st.SearchStrategy[Fraction]:
+    """k / denominator for every k from low * denominator to high * denominator."""
+    return st.integers(low * denominator, high * denominator).map(
+        lambda k: Fraction(k, denominator))
+
+
+# negative, zero, in [0, 1] and above 1
+_ANY_WEIGHT = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from(_DENOMINATORS).flatmap(lambda d: _over(d, -1, 2)))
+_UNIT_WEIGHT = st.sampled_from(_DENOMINATORS).flatmap(lambda d: _over(d, 0, 1))
+
+
+@st.composite
+def _raw_fields(draw, sigma_weights, mu_weights, loops=True):
+    """FuzzyGraph keyword fields; mu_weights(s, t) draws mu of an edge whose
+    ends have sigma s and t, and edges come in no particular order."""
+    n = draw(st.integers(0, 6))
+    vertices = tuple(f"v{i}" for i in range(n))
+    sigma = tuple(draw(sigma_weights) for _ in range(n))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: loops or p[0] != p[1]),
+        unique_by=lambda p: frozenset(p), max_size=8)) if n else []
+    edges = tuple((vertices[i], vertices[j], draw(mu_weights(sigma[i], sigma[j])))
+                  for i, j in pairs)
+    return {"name": "raw", "vertices": vertices, "sigma": sigma, "edges": edges}
+
+
+def _reference_violations(fields) -> list[str]:
+    sigma = dict(zip(fields["vertices"], fields["sigma"]))
+    found = [f"sigma out of range on {v}"
+             for v, s in sigma.items() if not 0 <= s <= 1]
+    for u, v, mu in fields["edges"]:
+        if u == v:
+            found.append(f"loop on ({u},{v})")
+            continue
+        if not 0 <= mu <= 1:
+            found.append(f"mu out of range on ({u},{v})")
+        if mu > min(sigma[u], sigma[v]):
+            found.append(f"mu exceeds min sigma on ({u},{v})")
+    return found
+
+
+def _reference_masks(fields) -> tuple[int, ...]:
+    sigma = dict(zip(fields["vertices"], fields["sigma"]))
+    position = {v: i for i, v in enumerate(fields["vertices"])}
+    masks = [0] * len(fields["vertices"])
+    for u, v, mu in fields["edges"]:
+        if u != v and mu == min(sigma[u], sigma[v]):
+            masks[position[u]] |= 1 << position[v]
+            masks[position[v]] |= 1 << position[u]
+    return tuple(masks)
+
+
+def _below(s: Fraction, t: Fraction) -> st.SearchStrategy[Fraction]:
+    """min(s, t) itself, or a fraction of it over a mixed denominator."""
+    low = min(s, t)
+    return st.one_of(st.just(low), _UNIT_WEIGHT.map(lambda k: low * k))
+
+
+_TINY = Fraction(1, 10**6 * 999983)
+_LARGE_LCM = {
+    "name": "raw",
+    "vertices": ("a", "b", "c", "d"),
+    "sigma": (Fraction(1, 3), Fraction(2, 7), Fraction(500000, 999983),
+              Fraction(999999, 10**6)),
+    "edges": (("a", "b", Fraction(2, 7)),            # effective
+              ("a", "c", Fraction(1, 3) - _TINY),    # just below min sigma
+              ("b", "d", Fraction(2, 7) + _TINY),    # just above min sigma
+              ("c", "d", Fraction(500000, 999983))),  # effective
+}
+
+
+@given(_raw_fields(_ANY_WEIGHT, lambda s, t: _ANY_WEIGHT))
+@example(_LARGE_LCM)
+@example({**_LARGE_LCM, "sigma": (Fraction(-1, 7), Fraction(0), Fraction(4, 3),
+                                  Fraction(1))})
+@example({**_LARGE_LCM, "edges": (("c", "c", Fraction(0)),
+                                  ("a", "d", Fraction(-1, 999983)),
+                                  ("b", "c", Fraction(10**6 + 1, 10**6)))})
+def test_integer_checks_match_the_fraction_rule(fields):
+    expected = _reference_violations(fields)
+    if not expected:
+        assert _effective_adjacency(FuzzyGraph(**fields)) == _reference_masks(fields)
+        return
+    with pytest.raises(InvalidGraphError) as info:
+        FuzzyGraph(**fields)
+    assert info.value.violations == expected
+
+
+@given(_raw_fields(_UNIT_WEIGHT, _below, loops=False))
+@example({**_LARGE_LCM, "edges": tuple(e for e in _LARGE_LCM["edges"]
+                                       if e[0] != "b" or e[1] != "d")})
+def test_effective_masks_match_the_fraction_rule(fields):
+    assert _effective_adjacency(FuzzyGraph(**fields)) == _reference_masks(fields)

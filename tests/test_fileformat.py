@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from fuzzydom import fileformat
 from fuzzydom.core import FuzzyGraph
 from fuzzydom.fileformat import (
     FileFormatError,
@@ -19,6 +20,7 @@ from fuzzydom.fileformat import (
     save,
 )
 from fuzzydom.product import direct_product
+from fuzzydom.weights import parse_weight
 
 from .conftest import HOSTILE_FILES, graphs
 
@@ -137,6 +139,18 @@ def _product_doc(vertex_id="a|b", **block_changes):
                  "edges[0].mu: '1.5' is outside [0, 1]", id="out-of-range"),
     pytest.param(_doc(vertices=[{"id": "a", "sigma": "0.5"}] * 2),
                  "duplicate vertex id 'a'", id="graph-error"),
+    # weights are parsed once per distinct literal: a bad one still fails at
+    # its first path, and a parsed one excuses no later non-string weight
+    pytest.param(_doc(vertices=[{"id": "a", "sigma": "0.5"},
+                                {"id": "b", "sigma": "0.1234567"},
+                                {"id": "c", "sigma": "0.1234567"}],
+                      edges=[{"u": "a", "v": "b", "mu": "0.1234567"}]),
+                 "vertices[1].sigma: '0.1234567' has 7 fractional digits",
+                 id="repeated-bad-literal"),
+    pytest.param(_doc(vertices=[{"id": "a", "sigma": "0.5"},
+                                {"id": "b", "sigma": 0.5}]),
+                 "vertices[1].sigma: weights must be decimal strings, got float",
+                 id="parsed-then-float"),
 ])
 def test_document_rejections_name_the_problem(doc, fragment):
     with pytest.raises(FileFormatError, match=re.escape(fragment)):
@@ -164,6 +178,25 @@ def test_load_turns_hostile_input_into_file_format_errors(tmp_path, content,
     path.write_bytes(content)
     with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
         load(str(path))
+
+
+def test_load_parses_each_distinct_literal_once(p3_product, tmp_path,
+                                                 monkeypatch):
+    path = tmp_path / "p.fg"
+    save(p3_product, str(path))
+    doc = json.loads(path.read_text())
+    literals = ([entry["sigma"] for entry in doc["vertices"]]
+                + [entry["mu"] for entry in doc["edges"]])
+    assert len(set(literals)) < len(literals)
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_weight(text)
+
+    monkeypatch.setattr(fileformat, "parse_weight", counting)
+    assert load(str(path)) == p3_product
+    assert sorted(parsed) == sorted(set(literals))
 
 
 def test_invalid_graph_message_names_the_graph_and_every_violation():
