@@ -5,11 +5,16 @@ and mu(e) on every undirected edge. Domination in this package acts only
 along *effective* edges, the edges where mu equals min(sigma(u), sigma(v)),
 so the neighborhood functions here are all defined over effective edges.
 
-Validity is decided once, when the value is made: FuzzyGraph's
-constructor runs validate and raises InvalidGraphError on any violation, so
-every FuzzyGraph in existence is a fuzzy graph in Rosenfeld's sense (no
-loops, every weight in [0, 1], mu <= min sigma on every edge). Products,
-loaded files and generated graphs all pass through that one gate.
+Validity is decided once, by FuzzyGraph's constructor. GraphStructureError
+unless: the name is a string; vertices, sigma and edges are tuples, sigma
+parallel to vertices; ids are unique tokens without whitespace, commas or
+parentheses; weights are Fractions; edges are (u, v, mu) between vertices,
+u <= v, strictly sorted by (u, v). ProductError unless a product tag has a
+nonempty separator and, per vertex, the two nonempty factor ids its id
+splits into at the separator (so no factor id holds it). Then any finding
+of validate raises InvalidGraphError: every FuzzyGraph is a fuzzy graph in
+Rosenfeld's sense (no loops, weights in [0, 1], mu <= min sigma on every
+edge), and products, loaded files and generated graphs all pass this gate.
 
 _effective_adjacency is the one place that decides effectiveness: it gives
 one bitmask per vertex, bit j of entry i set exactly when {i, j} is an
@@ -35,8 +40,7 @@ lru caches.
 FuzzyGraph is immutable. Vertices keep their input order and every
 set-valued result is returned sorted by that order, which makes all
 downstream output (witnesses, neighborhoods, serialized files)
-deterministic. Edges are stored canonically sorted so that two graphs with
-the same content compare equal regardless of construction order.
+deterministic. Edges are canonical, so equal content means equal graphs.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .weights import parse_weight
@@ -75,20 +80,12 @@ class UnknownVertexError(GraphError):
     """A vertex id is not present in the graph."""
 
 
-def _coerce_weight(value: WeightLike, where: str) -> Fraction:
-    if isinstance(value, str):
-        return parse_weight(value)
-    if not isinstance(value, Fraction):
-        raise GraphStructureError(f"{where}: weight must be a rational or string")
-    return value
+class ProductError(GraphError):
+    """A product tag that does not describe its graph, or a missing tag."""
 
 
-def _check_id(vid: str) -> str:
-    if not isinstance(vid, str) or _ID_RE.match(vid) is None:
-        raise GraphStructureError(
-            f"bad vertex id {vid!r}: ids are nonempty tokens without "
-            "whitespace, commas, or parentheses")
-    return vid
+def _weight_error(where: str) -> GraphStructureError:
+    return GraphStructureError(f"{where}: weight must be a rational or string")
 
 
 @dataclass(frozen=True)
@@ -108,11 +105,9 @@ class ProductTag:
 class FuzzyGraph:
     """Immutable fuzzy graph, valid by construction.
 
-    vertices: ids in input order; sigma: parallel membership degrees;
-    edges: (u, v, mu) triples with u < v as strings, sorted by (u, v).
-    Construction raises GraphStructureError when sigma and vertices differ
-    in length or an edge endpoint is not a vertex, and InvalidGraphError
-    when validate finds a violation.
+    vertices: unique ids in input order; sigma: parallel Fractions; edges:
+    (u, v, mu) with u <= v, strictly sorted by (u, v). Construction enforces
+    every rule listed in the module docstring.
     """
 
     name: str
@@ -122,11 +117,44 @@ class FuzzyGraph:
     product_tag: Optional[ProductTag] = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and isinstance(self.vertices, tuple)
+                and isinstance(self.sigma, tuple) and isinstance(self.edges, tuple)):
+            raise GraphStructureError("name must be a string, other fields tuples")
         if len(self.sigma) != len(self.vertices):
             raise GraphStructureError(
                 f"graph {self.name!r} has {len(self.vertices)} vertices but "
                 f"{len(self.sigma)} sigma values")
-        violations = validate(self)  # _integer_view rejects unknown endpoints
+        for vid, s in zip(self.vertices, self.sigma):
+            if not isinstance(vid, str) or _ID_RE.match(vid) is None:
+                raise GraphStructureError(
+                    f"bad vertex id {vid!r}: ids are nonempty tokens without "
+                    "whitespace, commas, or parentheses")
+            if not isinstance(s, Fraction):
+                raise _weight_error(f"sigma({vid})")
+        if self.product_tag is not None:
+            _check_tag(self)
+        idx = self._positions
+        if len(idx) != len(self.vertices):
+            raise GraphStructureError("duplicate vertex id " + repr(next(
+                v for i, v in enumerate(self.vertices) if idx[v] != i)))
+        previous = ("", "")  # below every pair of ids
+        for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 3
+                    and isinstance(edge[0], str) and isinstance(edge[1], str)):
+                raise GraphStructureError(
+                    f"edge {edge!r} is not a (str, str, mu) triple")
+            u, v, mu = edge
+            if u not in idx or v not in idx:
+                raise GraphStructureError(
+                    f"edge endpoint {v if u in idx else u!r} is not a vertex")
+            if u > v or (u, v) <= previous:
+                raise GraphStructureError(
+                    f"duplicate edge ({u},{v})" if (u, v) == previous else
+                    f"edge ({u},{v}) is not oriented u <= v and sorted by pair")
+            if not isinstance(mu, Fraction):
+                raise _weight_error(f"mu({u},{v})")
+            previous = (u, v)
+        violations = validate(self)
         if violations:
             raise InvalidGraphError(self.name, violations)
 
@@ -145,38 +173,23 @@ class FuzzyGraph:
         edges: Iterable[tuple[str, str, WeightLike]] = (),
         product_tag: Optional[ProductTag] = None,
     ) -> "FuzzyGraph":
-        """Assemble a graph, rejecting structurally ambiguous input.
+        """Parse string weights, orient each edge u <= v, sort, construct.
 
-        Weights are decimal strings (parse_weight) or Fractions. Rejected
-        here: bad id tokens, duplicate vertex ids, endpoints that are not
-        strings, duplicate unordered edge pairs, weights of any other type
-        (int and bool included). The constructor then rejects unknown
-        endpoints, and out-of-range weights, loops and mu > min sigma with
-        InvalidGraphError.
+        Endpoints must be strings to compare; every other check, duplicates
+        in either orientation included, is the constructor's.
         """
-        ids: list[str] = []
-        sigmas: list[Fraction] = []
-        seen: set[str] = set()
-        for vid, raw in vertices:
-            _check_id(vid)
-            if vid in seen:
-                raise GraphStructureError(f"duplicate vertex id {vid!r}")
-            seen.add(vid)
-            ids.append(vid)
-            sigmas.append(_coerce_weight(raw, f"sigma({vid})"))
+        pairs = list(vertices)
         canon: list[tuple[str, str, Fraction]] = []
-        pairs: set[tuple[str, str]] = set()
         for u, v, raw in edges:
             if not (isinstance(u, str) and isinstance(v, str)):
                 raise GraphStructureError(
                     f"edge endpoints must be strings, got ({u!r}, {v!r})")
             a, b = (u, v) if u <= v else (v, u)
-            if (a, b) in pairs:
-                raise GraphStructureError(f"duplicate edge ({a},{b})")
-            pairs.add((a, b))
-            canon.append((a, b, _coerce_weight(raw, f"mu({a},{b})")))
-        canon.sort()  # pairs are unique, so mu is never compared
-        return cls(name=name, vertices=tuple(ids), sigma=tuple(sigmas),
+            canon.append((a, b, parse_weight(raw) if isinstance(raw, str) else raw))
+        canon.sort(key=itemgetter(0, 1))  # mu is never compared
+        return cls(name=name, vertices=tuple(vid for vid, _ in pairs),
+                   sigma=tuple(parse_weight(raw) if isinstance(raw, str) else raw
+                               for _, raw in pairs),
                    edges=tuple(canon), product_tag=product_tag)
 
     @cached_property
@@ -194,14 +207,33 @@ class FuzzyGraph:
         return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
 
+def _check_tag(g: FuzzyGraph) -> None:
+    tag = g.product_tag
+    if not (isinstance(tag, ProductTag) and isinstance(tag.factors, tuple)
+            and len(tag.factors) == len(g.vertices) and all(isinstance(s, str)
+            for s in (tag.left_name, tag.right_name, tag.separator))):
+        raise ProductError(f"graph {g.name!r} needs a product tag of strings "
+                           "with one factor pair per vertex")
+    if not tag.separator:
+        raise ProductError("separator must be nonempty")
+    for vid, pair in zip(g.vertices, tag.factors):
+        parts = tuple(vid.split(tag.separator))
+        if len(parts) != 2 or "" in parts:
+            raise ProductError(
+                f"product vertex {vid!r} must split at {tag.separator!r} into two "
+                "nonempty factor ids, so no factor id contains the separator")
+        if parts != pair:
+            raise ProductError(
+                f"product vertex {vid!r} does not split into its pair {pair!r}")
+
+
 def _integer_view(
         g: FuzzyGraph) -> tuple[int, list[int], list[tuple[int, int, int]]]:
     """(scale, sigma, edges): every weight times scale, as an integer.
 
     scale is the lcm of the denominators of all sigma and mu, so
     a < b iff a * scale < b * scale with both sides integers. edges holds
-    (i, j, mu) with vertex positions, parallel to g.edges. An endpoint that
-    is not a vertex raises GraphStructureError.
+    (i, j, mu) with vertex positions, parallel to g.edges.
     """
     denominators = {s.denominator for s in g.sigma}
     denominators.update(mu.denominator for _, _, mu in g.edges)
@@ -209,12 +241,8 @@ def _integer_view(
     factor = {d: scale // d for d in denominators}
     sigma = [s.numerator * factor[s.denominator] for s in g.sigma]
     idx = g._positions
-    try:
-        edges = [(idx[u], idx[v], mu.numerator * factor[mu.denominator])
-                 for u, v, mu in g.edges]
-    except KeyError as exc:
-        raise GraphStructureError(
-            f"edge endpoint {exc.args[0]!r} is not a vertex") from None
+    edges = [(idx[u], idx[v], mu.numerator * factor[mu.denominator])
+             for u, v, mu in g.edges]
     return scale, sigma, edges
 
 

@@ -17,11 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import FuzzyGraph, ProductTag, GraphError, _effective_adjacency
-
-
-class ProductError(GraphError):
-    """Invalid input to the product constructor, or a missing tag."""
+from .core import FuzzyGraph, ProductError, ProductTag, _effective_adjacency
 
 
 class MissingTagError(ProductError):
@@ -43,22 +39,12 @@ def direct_product(
     """Build the direct product of two fuzzy graphs.
 
     Both factors are valid because every FuzzyGraph is, and the product is
-    validated by its own construction: min(mu1, mu2) never exceeds the least
-    of the four sigmas, so that check can only fail on a bug here.
-
-    Factor ids may not contain the separator: that guarantee makes the
-    rendered pair ids collision-free and lets files reconstruct the factor
-    pair of every product vertex by splitting on the separator.
+    checked by its own construction: min(mu1, mu2) never exceeds the least
+    of the four sigmas, so validate can only fail on a bug here. The
+    constructor's tag check raises ProductError for an empty separator or
+    one inside a factor id, which keeps the pair ids collision-free and
+    lets files recover every vertex's factor pair by splitting.
     """
-    if not separator:
-        raise ProductError("separator must be nonempty")
-    for g in (left, right):
-        for vid in g.vertices:
-            if separator in vid:
-                raise ProductError(
-                    f"vertex id {vid!r} in factor {g.name!r} contains the "
-                    f"separator {separator!r}")
-
     vertices: list[tuple[str, Fraction]] = []
     factors: list[tuple[str, str]] = []
     for gi, gv in enumerate(left.vertices):

@@ -1,5 +1,6 @@
 """Graph construction, validation, and effective-edge machinery."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from fuzzydom.core import (
     FuzzyGraph,
     GraphStructureError,
     InvalidGraphError,
+    ProductTag,
     UnknownVertexError,
     _effective_adjacency,
     closed_neighborhood,
@@ -22,6 +24,7 @@ from fuzzydom.core import (
     open_neighborhood,
     validate,
 )
+from fuzzydom.product import ProductError
 
 from .conftest import graphs
 
@@ -96,6 +99,50 @@ def test_constructor_rejects_unknown_endpoints():
                    edges=(("a", "z", Fraction(1, 10)),))
     assert str(info.value) == "edge endpoint 'z' is not a vertex"
     assert not isinstance(info.value, InvalidGraphError)
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+_EDGELESS_PRODUCT = {"name": "p", "vertices": ("a|x", "a|y", "b|x", "b|y"),
+                     "sigma": (_HALF,) * 4, "edges": ()}
+
+
+@pytest.mark.parametrize("fields, error, fragment", [
+    pytest.param({"vertices": ("a", "a"), "sigma": (_HALF, _THIRD)},
+                 GraphStructureError, "duplicate vertex id 'a'", id="duplicate-id"),
+    pytest.param({"vertices": ("a",), "sigma": (0.5,)},
+                 GraphStructureError, "sigma(a): weight must be a rational or string",
+                 id="float-weight"),
+    pytest.param({"vertices": ("a b",), "sigma": (_HALF,)},
+                 GraphStructureError, "bad vertex id 'a b'", id="bad-token"),
+    pytest.param({"vertices": ("a", "b"), "sigma": (_HALF, _HALF),
+                  "edges": (("b", "a", _HALF),)},
+                 GraphStructureError, "edge (b,a) is not oriented", id="reversed-edge"),
+    pytest.param({"vertices": ("a", "b"), "sigma": (_HALF, _HALF),
+                  "edges": (("a", "b", _HALF), ("a", "b", Fraction(1, 4)))},
+                 GraphStructureError, "duplicate edge (a,b)", id="repeated-pair"),
+    pytest.param({**_EDGELESS_PRODUCT,
+                  "product_tag": ProductTag("g", "h", "|", factors=())},
+                 ProductError, "one factor pair per vertex", id="tag-without-factors"),
+    pytest.param({"vertices": ("|b",), "sigma": (_HALF,),
+                  "product_tag": ProductTag("g", "h", "|", factors=(("", "b"),))},
+                 ProductError, "two nonempty factor ids", id="empty-factor-id"),
+    pytest.param({"vertices": ["a"], "sigma": [_HALF], "edges": []},
+                 GraphStructureError, "other fields tuples", id="list-fields"),
+])
+def test_constructor_rejects_every_non_graph(fields, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        FuzzyGraph(**{"name": "g", "edges": (), **fields})
+
+
+def test_constructor_accepts_the_tag_its_ids_spell():
+    tag = ProductTag("g", "h", "|", factors=(("a", "x"), ("a", "y"),
+                                             ("b", "x"), ("b", "y")))
+    g = FuzzyGraph(**_EDGELESS_PRODUCT, product_tag=tag)
+    assert g == FuzzyGraph.build("p", zip(g.vertices, g.sigma), product_tag=tag)
+    swapped = tag.factors[1], tag.factors[0], *tag.factors[2:]
+    with pytest.raises(ProductError, match="does not split into its pair"):
+        FuzzyGraph(**_EDGELESS_PRODUCT,
+                   product_tag=ProductTag("g", "h", "|", factors=swapped))
 
 
 def test_build_rejects_endpoints_that_are_not_strings():
@@ -247,7 +294,7 @@ _UNIT_WEIGHT = st.sampled_from(_DENOMINATORS).flatmap(lambda d: _over(d, 0, 1))
 @st.composite
 def _raw_fields(draw, sigma_weights, mu_weights, loops=True):
     """FuzzyGraph keyword fields; mu_weights(s, t) draws mu of an edge whose
-    ends have sigma s and t, and edges come in no particular order."""
+    ends have sigma s and t, and edges are canonical: u <= v, sorted by pair."""
     n = draw(st.integers(0, 6))
     vertices = tuple(f"v{i}" for i in range(n))
     sigma = tuple(draw(sigma_weights) for _ in range(n))
@@ -255,8 +302,9 @@ def _raw_fields(draw, sigma_weights, mu_weights, loops=True):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
             lambda p: loops or p[0] != p[1]),
         unique_by=lambda p: frozenset(p), max_size=8)) if n else []
-    edges = tuple((vertices[i], vertices[j], draw(mu_weights(sigma[i], sigma[j])))
-                  for i, j in pairs)
+    edges = tuple(sorted(
+        (*sorted((vertices[i], vertices[j])), draw(mu_weights(sigma[i], sigma[j])))
+        for i, j in pairs))
     return {"name": "raw", "vertices": vertices, "sigma": sigma, "edges": edges}
 
 
@@ -309,9 +357,9 @@ _LARGE_LCM = {
 @example(_LARGE_LCM)
 @example({**_LARGE_LCM, "sigma": (Fraction(-1, 7), Fraction(0), Fraction(4, 3),
                                   Fraction(1))})
-@example({**_LARGE_LCM, "edges": (("c", "c", Fraction(0)),
-                                  ("a", "d", Fraction(-1, 999983)),
-                                  ("b", "c", Fraction(10**6 + 1, 10**6)))})
+@example({**_LARGE_LCM, "edges": (("a", "d", Fraction(-1, 999983)),
+                                  ("b", "c", Fraction(10**6 + 1, 10**6)),
+                                  ("c", "c", Fraction(0)))})
 def test_integer_checks_match_the_fraction_rule(fields):
     expected = _reference_violations(fields)
     if not expected:

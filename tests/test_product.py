@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 
+import fuzzydom
 from fuzzydom import core
 from fuzzydom.core import FuzzyGraph, InvalidGraphError, is_effective, validate
 from fuzzydom.product import (
@@ -72,6 +73,19 @@ def test_non_effective_factor_edges_do_not_lift(p3_product):
 def test_separator_conflicts_are_rejected(k2_low, k2_even):
     with pytest.raises(ProductError):
         direct_product(k2_low, k2_even, separator="1")
+
+
+def test_separator_must_split_every_id_back_into_its_pair():
+    # "xa" + "aa" + "y" is "xaaay", which splits at "aa" into ("x", "ay"),
+    # so a saved product would load with a different tag
+    g = FuzzyGraph.build("g", [("xa", "0.5")])
+    h = FuzzyGraph.build("h", [("y", "0.5")])
+    with pytest.raises(ProductError, match="does not split into its pair"):
+        direct_product(g, h, separator="aa")
+
+
+def test_product_error_is_one_class():
+    assert fuzzydom.ProductError is ProductError is core.ProductError
 
 
 def test_invalid_factor_is_rejected_by_name():
