@@ -29,10 +29,9 @@ from .core import (
     UnknownVertexError,
     _effective_adjacency,
     closed_neighborhood,
-    fuzzy_cardinality,
     open_neighborhood,
 )
-from .product import _require_tag, fiber_left
+from .product import _product_pairs
 from .simplex import simplex_minimize
 
 Mode = Literal["open", "closed"]
@@ -148,14 +147,15 @@ def proof_function_total(product: FuzzyGraph, s: Iterable[str],
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    tag = _require_tag(product)
+    pairs = _product_pairs(product)
     chosen = {product.vertices[product.index(v)] for v in s}
     cap = 2 * alpha
-    ids = tuple(dict.fromkeys(left_id for left_id, _ in tag.factors))
-    values = tuple(
-        min(cap, fuzzy_cardinality(product, chosen & set(fiber_left(product, g))))
-        for g in ids)
-    return AlphaFunction(vertex_ids=ids, values=values, alpha=cap, mode="open")
+    mass = dict.fromkeys((g for g, _ in pairs), Fraction(0))
+    for v, (g, _), sigma in zip(product.vertices, pairs, product.sigma):
+        if v in chosen:
+            mass[g] += sigma
+    return AlphaFunction(vertex_ids=tuple(mass), alpha=cap, mode="open",
+                         values=tuple(min(cap, m) for m in mass.values()))
 
 
 def brute_force_lp_min(lp: LpInstance) -> Optional[Fraction]:

@@ -166,6 +166,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     pairs = []
     try:
+        if args.seeds < 1:
+            raise ValueError("--seeds must be at least 1")
         for i in range(args.seeds):
             seed = args.base_seed + 2 * i
             pairs.append((harness.GenParams(**args.left_params, seed=seed),

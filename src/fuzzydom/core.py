@@ -9,9 +9,10 @@ Validity is decided once, by FuzzyGraph's constructor. GraphStructureError
 unless: the name is a string; vertices, sigma and edges are tuples, sigma
 parallel to vertices; ids are unique tokens without whitespace, commas or
 parentheses; weights are Fractions; edges are (u, v, mu) between vertices,
-u <= v, strictly sorted by (u, v). ProductError unless a product tag has a
-nonempty separator and, per vertex, the two nonempty factor ids its id
-splits into at the separator (so no factor id holds it). Then any finding
+u <= v, strictly sorted by (u, v). ProductError unless a product tag's
+factor names and separator are strings, the separator nonempty, and in
+every vertex id the separator starts at exactly one position, overlapping
+matches counted, with a nonempty factor id on each side. Then any finding
 of validate raises InvalidGraphError: every FuzzyGraph is a fuzzy graph in
 Rosenfeld's sense (no loops, weights in [0, 1], mu <= min sigma on every
 edge), and products, loaded files and generated graphs all pass this gate.
@@ -24,10 +25,11 @@ package reads those masks.
 The fields hold Fractions, but validate and _effective_adjacency compare
 integers. _integer_view multiplies every sigma and mu by scale, the lcm of
 all their denominators, which makes each weight an integer and keeps every
-order and equality between weights exact. The view is computed when it is
-needed and never stored on the graph: _effective_adjacency's lru cache
-keeps every graph it has seen alive, so a stored view would stay in memory
-with each of them.
+order and equality between weights exact. The view, like a product's
+factor pairs (read back from its ids by _factor_pairs, the one parser of
+product ids), is computed when it is needed and never stored on the
+graph: _effective_adjacency's lru cache keeps every graph it has seen
+alive, so a stored view would stay in memory with each of them.
 
 Each graph owns its id -> position map (_positions), so a vertex lookup is
 one dict read and never hashes the graph. The hash itself is computed once
@@ -90,15 +92,11 @@ def _weight_error(where: str) -> GraphStructureError:
 
 @dataclass(frozen=True)
 class ProductTag:
-    """Provenance of a product graph: which factor pair each vertex came from.
-
-    factors is parallel to the owning graph's vertex tuple.
-    """
+    """Provenance of a product: factor names and the separator in its ids."""
 
     left_name: str
     right_name: str
     separator: str
-    factors: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -209,22 +207,27 @@ class FuzzyGraph:
 
 def _check_tag(g: FuzzyGraph) -> None:
     tag = g.product_tag
-    if not (isinstance(tag, ProductTag) and isinstance(tag.factors, tuple)
-            and len(tag.factors) == len(g.vertices) and all(isinstance(s, str)
-            for s in (tag.left_name, tag.right_name, tag.separator))):
-        raise ProductError(f"graph {g.name!r} needs a product tag of strings "
-                           "with one factor pair per vertex")
-    if not tag.separator:
-        raise ProductError("separator must be nonempty")
-    for vid, pair in zip(g.vertices, tag.factors):
-        parts = tuple(vid.split(tag.separator))
-        if len(parts) != 2 or "" in parts:
+    if not (isinstance(tag, ProductTag) and all(isinstance(s, str) for s in (
+            tag.left_name, tag.right_name, tag.separator)) and tag.separator):
+        raise ProductError(f"product tag of graph {g.name!r}: factor names must "
+                           "be strings and the separator must be a nonempty string")
+    _factor_pairs(g)
+
+
+def _factor_pairs(g: FuzzyGraph) -> list[tuple[str, str]]:
+    """(left id, right id) of each vertex of product g, in vertex order.
+
+    ProductError unless the separator starts at exactly one position of
+    each id (overlaps counted), with a nonempty factor id on each side.
+    """
+    sep = g.product_tag.separator
+    pairs = [vid.partition(sep)[::2] for vid in g.vertices]
+    for vid, (left, right) in zip(g.vertices, pairs):
+        if not (left and right and vid.rfind(sep) == len(left)):
             raise ProductError(
-                f"product vertex {vid!r} must split at {tag.separator!r} into two "
-                "nonempty factor ids, so no factor id contains the separator")
-        if parts != pair:
-            raise ProductError(
-                f"product vertex {vid!r} does not split into its pair {pair!r}")
+                f"product vertex {vid!r} must hold the separator {sep!r} exactly "
+                "once, overlapping matches counted, between two nonempty factor ids")
+    return pairs
 
 
 def _integer_view(

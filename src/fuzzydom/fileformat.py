@@ -10,9 +10,10 @@ as decimal strings, never floats, so values survive a round trip exactly:
       "product_of": {"left": "G", "right": "H", "separator": "|"}
     }
 
-product_of is present only on product graphs; each vertex id of such a
-document must contain the separator exactly once so the factor pair of
-every vertex can be reconstructed by splitting.
+product_of is present only on product graphs. Each vertex id of such a
+document must hold the separator exactly once, overlapping matches counted
+("aa" is twice in "xaaay"), between two nonempty factor ids, so splitting
+recovers every vertex's factor pair; the graph's constructor checks this.
 
 Serialization is canonical: vertices in input order, edges sorted by
 (min id, max id), weights printed with minimal digits. Saving the same
@@ -139,24 +140,7 @@ def graph_of_document(doc: Any) -> FuzzyGraph:
         if not isinstance(block, dict):
             raise FileFormatError("product_of must be an object")
         _require_keys(block, {"left", "right", "separator"}, set(), "product_of")
-        separator = block["separator"]
-        if not isinstance(separator, str) or not separator:
-            raise FileFormatError("product_of.separator must be a nonempty string")
-        factors = []
-        for vid, _ in vertices:
-            if vid.count(separator) != 1:
-                raise FileFormatError(
-                    f"product vertex id {vid!r} must contain the separator "
-                    f"{separator!r} exactly once")
-            left_id, right_id = vid.split(separator)
-            if not left_id or not right_id:
-                raise FileFormatError(
-                    f"product vertex id {vid!r} has an empty factor side")
-            factors.append((left_id, right_id))
-        if not isinstance(block["left"], str) or not isinstance(block["right"], str):
-            raise FileFormatError("product_of factor names must be strings")
-        tag = ProductTag(left_name=block["left"], right_name=block["right"],
-                         separator=separator, factors=tuple(factors))
+        tag = ProductTag(block["left"], block["right"], block["separator"])
 
     try:
         return FuzzyGraph.build(name=name, vertices=vertices, edges=edges,

@@ -8,8 +8,9 @@ invents adjacency: sparse factors give sparse products, and a factor
 without edges kills every product edge.
 
 Product vertices are named "<left>|<right>" (separator configurable) and
-carry a ProductTag so fibers and factor lookups stay exact. Vertex order is
-left-major: all pairs of the first left vertex, then the second, and so on.
+carry a ProductTag, which names the separator that fibers split each id at
+to read back its factor pair. Vertex order is left-major: all pairs of the
+first left vertex, then the second, and so on.
 """
 
 from __future__ import annotations
@@ -17,18 +18,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .core import FuzzyGraph, ProductError, ProductTag, _effective_adjacency
+from .core import (FuzzyGraph, ProductError, ProductTag, _effective_adjacency,
+                   _factor_pairs)
 
 
 class MissingTagError(ProductError):
     """The operation needs a product graph but got an untagged one."""
 
 
-def _require_tag(product: FuzzyGraph) -> ProductTag:
+def _product_pairs(product: FuzzyGraph) -> list[tuple[str, str]]:
+    """The factor pair of each vertex, read from the ids by _factor_pairs."""
     if product.product_tag is None:
         raise MissingTagError(
             f"graph {product.name!r} carries no product tag")
-    return product.product_tag
+    return _factor_pairs(product)
 
 
 def direct_product(
@@ -41,17 +44,13 @@ def direct_product(
     Both factors are valid because every FuzzyGraph is, and the product is
     checked by its own construction: min(mu1, mu2) never exceeds the least
     of the four sigmas, so validate can only fail on a bug here. The
-    constructor's tag check raises ProductError for an empty separator or
-    one inside a factor id, which keeps the pair ids collision-free and
-    lets files recover every vertex's factor pair by splitting.
+    constructor's tag check raises ProductError unless the separator starts
+    at exactly one position of every id (overlaps counted), so each id it
+    accepts is collision-free and splits back into its own pair.
     """
-    vertices: list[tuple[str, Fraction]] = []
-    factors: list[tuple[str, str]] = []
-    for gi, gv in enumerate(left.vertices):
-        for hi, hv in enumerate(right.vertices):
-            vertices.append((f"{gv}{separator}{hv}",
-                             min(left.sigma[gi], right.sigma[hi])))
-            factors.append((gv, hv))
+    vertices = [(f"{gv}{separator}{hv}", min(gs, hs))
+                for gv, gs in zip(left.vertices, left.sigma)
+                for hv, hs in zip(right.vertices, right.sigma)]
 
     edges: list[tuple[str, str, Fraction]] = []
     for gu, gv, mu1 in left.edges:
@@ -60,19 +59,17 @@ def direct_product(
             edges.append((f"{gu}{separator}{hu}", f"{gv}{separator}{hv}", gamma))
             edges.append((f"{gu}{separator}{hv}", f"{gv}{separator}{hu}", gamma))
 
-    tag = ProductTag(left_name=left.name, right_name=right.name,
-                     separator=separator, factors=tuple(factors))
     return FuzzyGraph.build(
-        name=f"{left.name}x{right.name}",
-        vertices=vertices, edges=edges, product_tag=tag)
+        name=f"{left.name}x{right.name}", vertices=vertices, edges=edges,
+        product_tag=ProductTag(left.name, right.name, separator))
 
 
 def _fiber(product: FuzzyGraph, side: str, vid: str) -> tuple[str, ...]:
-    tag = _require_tag(product)
     k = 0 if side == "left" else 1
-    fiber = tuple(v for v, pair in zip(product.vertices, tag.factors)
+    fiber = tuple(v for v, pair in zip(product.vertices, _product_pairs(product))
                   if pair[k] == vid)
     if not fiber:
+        tag = product.product_tag
         name = tag.left_name if k == 0 else tag.right_name
         raise ProductError(
             f"{vid!r} is not a vertex of the {side} factor {name!r}")
@@ -95,11 +92,11 @@ def missing_product_edge(product: FuzzyGraph) -> Optional[tuple[str, str]]:
     Pairs (i, j) with i < j are scanned row-major over vertex positions;
     None means there is no such pair.
     """
-    tag = _require_tag(product)
+    pairs = _product_pairs(product)
     adj = _effective_adjacency(product)
-    for i, (li, ri) in enumerate(tag.factors):
-        for j in range(i + 1, len(tag.factors)):
-            lj, rj = tag.factors[j]
+    for i, (li, ri) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            lj, rj = pairs[j]
             if li != lj and ri != rj and not adj[i] >> j & 1:
                 return product.vertices[i], product.vertices[j]
     return None

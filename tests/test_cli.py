@@ -223,6 +223,16 @@ def test_check_rejects_unknown_theorem(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_rejects_a_seed_count_below_one(tmp_path, capsys, count):
+    report = tmp_path / "r.json"
+    assert main(["check", "--left-params", "vertices=2",
+                 "--right-params", "vertices=2", "--seeds", count,
+                 "-o", str(report)]) == 2
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_usage_error_on_unknown_command():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -120,11 +120,8 @@ _EDGELESS_PRODUCT = {"name": "p", "vertices": ("a|x", "a|y", "b|x", "b|y"),
     pytest.param({"vertices": ("a", "b"), "sigma": (_HALF, _HALF),
                   "edges": (("a", "b", _HALF), ("a", "b", Fraction(1, 4)))},
                  GraphStructureError, "duplicate edge (a,b)", id="repeated-pair"),
-    pytest.param({**_EDGELESS_PRODUCT,
-                  "product_tag": ProductTag("g", "h", "|", factors=())},
-                 ProductError, "one factor pair per vertex", id="tag-without-factors"),
     pytest.param({"vertices": ("|b",), "sigma": (_HALF,),
-                  "product_tag": ProductTag("g", "h", "|", factors=(("", "b"),))},
+                  "product_tag": ProductTag("g", "h", "|")},
                  ProductError, "two nonempty factor ids", id="empty-factor-id"),
     pytest.param({"vertices": ["a"], "sigma": [_HALF], "edges": []},
                  GraphStructureError, "other fields tuples", id="list-fields"),
@@ -135,14 +132,9 @@ def test_constructor_rejects_every_non_graph(fields, error, fragment):
 
 
 def test_constructor_accepts_the_tag_its_ids_spell():
-    tag = ProductTag("g", "h", "|", factors=(("a", "x"), ("a", "y"),
-                                             ("b", "x"), ("b", "y")))
+    tag = ProductTag("g", "h", "|")
     g = FuzzyGraph(**_EDGELESS_PRODUCT, product_tag=tag)
     assert g == FuzzyGraph.build("p", zip(g.vertices, g.sigma), product_tag=tag)
-    swapped = tag.factors[1], tag.factors[0], *tag.factors[2:]
-    with pytest.raises(ProductError, match="does not split into its pair"):
-        FuzzyGraph(**_EDGELESS_PRODUCT,
-                   product_tag=ProductTag("g", "h", "|", factors=swapped))
 
 
 def test_build_rejects_endpoints_that_are_not_strings():

@@ -36,7 +36,6 @@ def test_product_roundtrip_keeps_the_tag(example_product, tmp_path):
     save(example_product, str(path))
     back = load(str(path))
     assert back == example_product
-    assert back.product_tag.factors == example_product.product_tag.factors
 
 
 def test_serialization_is_byte_stable(example_product):
@@ -99,6 +98,14 @@ def test_product_ids_must_split_on_the_separator():
         graph_of_document(doc)
 
 
+def test_a_separator_that_overlaps_itself_in_an_id_is_refused():
+    # "aa" starts at two positions of "xaaay", so the id has no one split
+    doc = _doc(vertices=[{"id": "xaaay", "sigma": "0.5"}],
+               product_of={"left": "g", "right": "h", "separator": "aa"})
+    with pytest.raises(FileFormatError, match="exactly once"):
+        graph_of_document(doc)
+
+
 def _doc(**changes):
     doc = {"name": "g", "vertices": [{"id": "a", "sigma": "0.5"}], "edges": []}
     return {**doc, **changes}
@@ -128,7 +135,7 @@ def _product_doc(vertex_id="a|b", **block_changes):
                  id="product-block"),
     pytest.param(_product_doc(separator=""),
                  "separator must be a nonempty string", id="separator"),
-    pytest.param(_product_doc("|b"), "has an empty factor side",
+    pytest.param(_product_doc("|b"), "two nonempty factor ids",
                  id="factor-side"),
     pytest.param(_product_doc(left=1), "factor names must be strings",
                  id="factor-name"),

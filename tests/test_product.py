@@ -1,13 +1,16 @@
 """Direct product construction, fibers, and completeness."""
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings, strategies as st
 
 import fuzzydom
 from fuzzydom import core
 from fuzzydom.core import FuzzyGraph, InvalidGraphError, is_effective, validate
+from fuzzydom.fileformat import dumps, graph_of_document
 from fuzzydom.product import (
     MissingTagError,
     ProductError,
@@ -76,12 +79,51 @@ def test_separator_conflicts_are_rejected(k2_low, k2_even):
 
 
 def test_separator_must_split_every_id_back_into_its_pair():
-    # "xa" + "aa" + "y" is "xaaay", which splits at "aa" into ("x", "ay"),
-    # so a saved product would load with a different tag
+    # "xa" + "aa" + "y" is "xaaay", which a split at the first "aa" would
+    # read back as ("x", "ay"), not as the pair it was built from
     g = FuzzyGraph.build("g", [("xa", "0.5")])
     h = FuzzyGraph.build("h", [("y", "0.5")])
-    with pytest.raises(ProductError, match="does not split into its pair"):
+    with pytest.raises(ProductError, match="exactly once"):
         direct_product(g, h, separator="aa")
+
+
+def test_a_separator_that_overlaps_itself_in_an_id_is_refused():
+    # "x" + "aa" + "ay" is "xaaay" too; "aa" starts at two of its positions,
+    # so the id splits back into no one pair, not even its own
+    g = FuzzyGraph.build("g", [("x", "0.5")])
+    h = FuzzyGraph.build("h", [("ay", "0.5")])
+    with pytest.raises(ProductError, match="exactly once"):
+        direct_product(g, h, separator="aa")
+
+
+def _path(name):
+    """Path graphs on 1-3 distinct ids over "abxy", every edge effective."""
+    ids = st.lists(st.text("abxy", min_size=1, max_size=3),
+                   min_size=1, max_size=3, unique=True)
+    return ids.map(lambda vs: FuzzyGraph.build(
+        name, [(v, "0.5") for v in vs], [(u, v, "0.5") for u, v in zip(vs, vs[1:])]))
+
+
+@settings(max_examples=300)
+@given(_path("g"), _path("h"), st.text("abxy|", min_size=1, max_size=3))
+@example(FuzzyGraph.build("g", [("xa", "0.5"), ("b", "0.5")]),
+         FuzzyGraph.build("h", [("y", "0.5")]), "aa")
+def test_every_product_splits_back_into_its_pairs_or_is_refused(g, h, separator):
+    try:
+        p = direct_product(g, h, separator)
+    except ProductError:
+        # ids over "abxy" cannot hold a separator made only of "|"
+        assert set(separator) - {"|"}
+        return
+    back = graph_of_document(json.loads(dumps(p)))
+    assert back == p
+    m = len(h.vertices)
+    for i, gv in enumerate(g.vertices):
+        assert fiber_left(p, gv) == p.vertices[i * m:(i + 1) * m]
+        assert fiber_left(p, gv) == fiber_left(back, gv)
+    for j, hv in enumerate(h.vertices):
+        assert fiber_right(p, hv) == p.vertices[j::m]
+        assert fiber_right(p, hv) == fiber_right(back, hv)
 
 
 def test_product_error_is_one_class():
@@ -108,7 +150,7 @@ def test_product_is_validated_once(monkeypatch, k2_low, p3_mixed):
 
 
 def test_empty_separator_is_rejected(k2_low, k2_even):
-    with pytest.raises(ProductError, match="separator must be nonempty"):
+    with pytest.raises(ProductError, match="separator must be a nonempty string"):
         direct_product(k2_low, k2_even, separator="")
 
 
@@ -123,8 +165,7 @@ def test_product_membership_structure(g, h):
     p = direct_product(g, h)
     assert len(p.vertices) == len(g.vertices) * len(h.vertices)
     assert validate(p) == []
-    tag = p.product_tag
-    for vid, (gu, hu) in zip(p.vertices, tag.factors):
+    for vid, (gu, hu) in zip(p.vertices, itertools.product(g.vertices, h.vertices)):
         assert vid == f"{gu}|{hu}"
         assert p.sigma[p.index(vid)] == min(g.sigma[g.index(gu)],
                                             h.sigma[h.index(hu)])
@@ -142,15 +183,15 @@ _LOW_RIGHT = FuzzyGraph.build(
 @example(_NON_EFFECTIVE_LEFT, _LOW_RIGHT)
 def test_product_edge_is_effective_iff_min_mu_is_the_least_sigma(g, h):
     p = direct_product(g, h)
-    tag = p.product_tag
+    pairs = list(itertools.product(g.vertices, h.vertices))
     g_mu = {frozenset((u, v)): mu for u, v, mu in g.edges}
     h_mu = {frozenset((u, v)): mu for u, v, mu in h.edges}
     for a in p.vertices:
         for b in p.vertices:
             if a == b:
                 continue
-            ga, ha = tag.factors[p.index(a)]
-            gb, hb = tag.factors[p.index(b)]
+            ga, ha = pairs[p.index(a)]
+            gb, hb = pairs[p.index(b)]
             mu1 = g_mu.get(frozenset((ga, gb)))
             mu2 = h_mu.get(frozenset((ha, hb)))
             least_sigma = min(g.sigma[g.index(ga)], g.sigma[g.index(gb)],
