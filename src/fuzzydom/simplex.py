@@ -1,17 +1,43 @@
-"""Two-phase simplex over exact rationals.
+"""Two-phase simplex over exact rationals, pivoting in integers.
 
-Solves min c.x subject to rows.x >= rhs, x >= 0, with every number a
-fractions.Fraction. Intended for the small covering programs this package
-produces (0/1 rows, positive right-hand sides, unit costs), but written
-for any nonnegative costs and rows.
+Solves min c.x subject to rows.x >= rhs, x >= 0. Every number at the
+interface is a fractions.Fraction. Intended for the small covering programs
+this package produces (0/1 rows, positive right-hand sides, unit costs),
+but written for any nonnegative costs and rows.
+
+The pivots run on an integer tableau T with one common divisor d > 0: the
+true tableau is always T / d, and every basic column of T is d times a unit
+vector. It starts integral with d = 1. Every row entry and right-hand side
+is multiplied by one common multiple L of their denominators, the surplus
+and artificial columns keep their -1 and +1, so the starting basis is the
+identity. Costs stay outside the tableau, scaled to integers by their own
+common multiple. A pivot on p = T[r][c] replaces every other row's entry by
+(p * T[i][j] - T[i][c] * T[r][j]) // d, leaves the pivot row as it is, and
+sets d to p. That division is exact (fraction-free elimination, Bareiss,
+Math. Comp. 22, 1968): every entry of T is a minor of the starting matrix,
+so T stays integral. x is read as T[i][rhs] / d.
+
+Scaling changes no pivot. Multiplying every row and right-hand side by the
+same L is the same program with the surplus and artificial variables
+measured in units of 1/L, so each tableau column and each reduced cost is
+a positive multiple of its rational counterpart: every sign test, every
+ratio comparison and every Bland choice comes out the same, and x is
+unchanged. Reduced costs are compared after multiplying by d > 0, and the
+leaving ratios T[i][rhs] / T[i][c] by cross-multiplication. The multiple
+must be common: scaling each row by its own would weight the phase-1
+artificials unequally, and phase 1 could then end on another basis.
+
+The pivots of both phases are positive, so d stays positive. Driving a
+leftover artificial out of the basis after phase 1 may pivot on a negative
+entry; the whole tableau and d are negated first, which leaves T / d as it
+was and makes that pivot positive.
 
 Bland's rule is used unconditionally for both the entering and the leaving
 choice: covering programs are highly degenerate and exact arithmetic makes
 cycling a real possibility. Bland's rule is not the fastest pivoting rule,
-and the simplex is a measurable share of a claim-checking run, but it is
-what keeps the chosen basis, and so every reported assignment, fixed. The
-solver is fully deterministic: identical input produces an identical basic
-optimal solution.
+but it is what keeps the chosen basis, and so every reported assignment,
+fixed. The solver is fully deterministic: identical input produces an
+identical basic optimal solution.
 
 Costs and right-hand sides must be nonnegative; ValueError otherwise.
 Nonnegative costs with x >= 0 bound the objective below, so the solve can
@@ -22,9 +48,14 @@ every row start from its own artificial column in phase 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+
+
+def _integers(values: list[Fraction], scale: int) -> list[int]:
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def simplex_minimize(
@@ -39,7 +70,6 @@ def simplex_minimize(
     n = len(costs)
     m = len(rows)
     zero = Fraction(0)
-    one = Fraction(1)
     costs = [Fraction(c) for c in costs]
     if any(c < 0 for c in costs):
         raise ValueError("costs must be nonnegative to keep the program bounded")
@@ -50,78 +80,101 @@ def simplex_minimize(
     if m == 0:
         return zero, tuple([zero] * n)
 
-    # Each constraint becomes the equality row.x - s_i + a_i = rhs_i with
-    # surplus s_i >= 0 and artificial a_i >= 0.
-    # Columns: x (n) | s (m) | artificial (m).
+    lines = [[Fraction(v) for v in row] + [Fraction(b)]
+             for row, b in zip(rows, rhs)]
+    scale = lcm(*(v.denominator for line in lines for v in line))
+
+    # Each constraint becomes the equality L*row.x - s_i + a_i = L*rhs_i
+    # with surplus s_i >= 0 and artificial a_i >= 0.
+    # Columns: x (n) | s (m) | artificial (m) | rhs.
     width = n + 2 * m
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        line = ([Fraction(v) for v in rows[i]] + [zero] * (2 * m)
-                + [Fraction(rhs[i])])
-        line[n + i] = -one
-        line[n + m + i] = one
-        tab.append(line)
+    tab: list[list[int]] = []
+    for i, line in enumerate(lines):
+        scaled = _integers(line, scale)
+        row = scaled[:n] + [0] * (2 * m) + scaled[n:]
+        row[n + i] = -1
+        row[n + m + i] = 1
+        tab.append(row)
     basis = [n + m + i for i in range(m)]
+    basic = [False] * (n + m) + [True] * m
+    d = 1
 
     def pivot(row: int, col: int) -> None:
-        piv = tab[row][col]
-        tab[row] = [v / piv for v in tab[row]]
-        for r in range(m):
-            if r != row and tab[r][col] != 0:
-                factor = tab[r][col]
-                tab[r] = [v - factor * p for v, p in zip(tab[r], tab[row])]
+        nonlocal d
+        p = tab[row][col]
+        top = tab[row]
+        for i in range(m):
+            if i == row:
+                continue
+            line = tab[i]
+            f = line[col]
+            if f:
+                tab[i] = [(p * v - f * t) // d for v, t in zip(line, top)]
+            elif p != d:
+                tab[i] = [p * v // d for v in line]
+        d = p
+        basic[basis[row]] = False
+        basic[col] = True
         basis[row] = col
 
-    def optimize(cost_of: list[Fraction], usable: int) -> None:
+    def optimize(cost_of: list[int], usable: int) -> None:
         # usable = number of leading columns eligible to enter
         while True:
-            dual = [cost_of[basis[i]] for i in range(m)]
+            priced = [(cost_of[basis[i]], tab[i]) for i in range(m)
+                      if cost_of[basis[i]]]
             entering = -1
             for j in range(usable):
-                if j in basis:
+                if basic[j]:
                     continue
-                reduced = cost_of[j] - sum(
-                    (dual[i] * tab[i][j] for i in range(m)), zero)
-                if reduced < 0:
+                # d times the reduced cost c_j - sum_i c_B(i) * T[i][j] / d
+                if d * cost_of[j] < sum(c * line[j] for c, line in priced):
                     entering = j
                     break  # Bland: first eligible index
             if entering < 0:
                 return
             leaving = -1
-            best_ratio: Optional[Fraction] = None
             for i in range(m):
                 coef = tab[i][entering]
                 if coef > 0:
-                    ratio = tab[i][width] / coef
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and basis[i] < basis[leaving])):
-                        best_ratio = ratio
+                    if leaving < 0:
+                        leaving = i
+                        continue
+                    # T[i][rhs] / coef against the best ratio so far
+                    here = tab[i][-1] * tab[leaving][entering]
+                    best = tab[leaving][-1] * coef
+                    if here < best or (here == best and basis[i] < basis[leaving]):
                         leaving = i
             if leaving < 0:
                 raise ArithmeticError("unbounded program despite nonnegative costs")
             pivot(leaving, entering)
 
     # Phase 1: minimize the artificial total.
-    phase1 = [zero] * (n + m) + [one] * m
-    optimize(phase1, width)
-    infeasibility = sum((phase1[basis[i]] * tab[i][width] for i in range(m)), zero)
-    if infeasibility > 0:
+    optimize([0] * (n + m) + [1] * m, width)
+    if any(basis[i] >= n + m and tab[i][-1] > 0 for i in range(m)):
         return None
 
     # Drive leftover artificials out of the basis (they sit at value 0).
-    # Each row is a row of B^-1 times [A | -I | I]; a row zero over the x
-    # and s columns would make that row of B^-1 zero, so a real column with
-    # a nonzero entry always exists.
+    # Each row is a row of d * B^-1 times [A | -I | I]; a row zero over the
+    # x and s columns would make that row of B^-1 zero, so a real column
+    # with a nonzero entry always exists.
     for i in range(m):
         if basis[i] >= n + m:
-            pivot(i, next(j for j in range(n + m) if tab[i][j] != 0))
+            j = next(j for j in range(n + m) if tab[i][j] != 0)
+            if tab[i][j] < 0:
+                tab = [[-v for v in line] for line in tab]
+                d = -d
+            pivot(i, j)
 
-    phase2 = list(costs) + [zero] * (2 * m)
+    # Phase 2 never reads the artificial columns again.
+    tab = [line[:n + m] + line[-1:] for line in tab]
+    cost_scale = lcm(*(c.denominator for c in costs))
+    phase2 = _integers(costs, cost_scale) + [0] * m
     optimize(phase2, n + m)
 
     x = [zero] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][width]
-    value = sum((c * v for c, v in zip(costs, x)), zero)
+            x[basis[i]] = Fraction(tab[i][-1], d)
+    value = Fraction(sum(phase2[basis[i]] * tab[i][-1] for i in range(m)),
+                     cost_scale * d)
     return value, tuple(x)
