@@ -96,7 +96,6 @@ def simplex_minimize(
         row[n + m + i] = 1
         tab.append(row)
     basis = [n + m + i for i in range(m)]
-    basic = [False] * (n + m) + [True] * m
     d = 1
 
     def pivot(row: int, col: int) -> None:
@@ -104,17 +103,10 @@ def simplex_minimize(
         p = tab[row][col]
         top = tab[row]
         for i in range(m):
-            if i == row:
-                continue
-            line = tab[i]
-            f = line[col]
-            if f:
-                tab[i] = [(p * v - f * t) // d for v, t in zip(line, top)]
-            elif p != d:
-                tab[i] = [p * v // d for v in line]
+            if i != row:
+                f = tab[i][col]
+                tab[i] = [(p * v - f * t) // d for v, t in zip(tab[i], top)]
         d = p
-        basic[basis[row]] = False
-        basic[col] = True
         basis[row] = col
 
     def optimize(cost_of: list[int], usable: int) -> None:
@@ -124,7 +116,7 @@ def simplex_minimize(
                       if cost_of[basis[i]]]
             entering = -1
             for j in range(usable):
-                if basic[j]:
+                if j in basis:
                     continue
                 # d times the reduced cost c_j - sum_i c_B(i) * T[i][j] / d
                 if d * cost_of[j] < sum(c * line[j] for c, line in priced):

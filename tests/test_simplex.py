@@ -142,14 +142,12 @@ def _programs(draw):
     return costs, rows, rhs
 
 
-# Phase 1 ends with the third row's artificial basic at 0, and the first
+# Phase 1 ends with the first row's artificial basic at 0, and the first
 # nonzero entry of that row over the x and surplus columns is negative, so
-# driving it out negates the integer tableau; phase 2 then pivots again.
-@example(program=([F(1, 2), F(1, 3), F(2)],
-                  [[F(1, 2), F(-3, 2), F(1)],
-                   [F(2, 5), F(2, 5), F(1, 5)],
-                   [F(0), F(0), F(-3, 7)]],
-                  [F(1, 3), F(3, 2), F(0)]),
+# driving it out negates the integer tableau; phase 2 then pivots on s_1.
+# Without the negation d turns negative and phase 2 stops at x = 0.
+@example(program=([F(1, 2), F(3)], [[F(0), F(-2)], [F(1), F(-1)]],
+                  [F(0), F(3)]),
          k=F(3, 2))
 # Rows over different denominators: a solver that scales each row by its own
 # lcm weights phase 1's artificials unequally, and at 2/3 of this rhs it
