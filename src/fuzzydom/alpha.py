@@ -9,8 +9,8 @@ feasible because every vertex belongs to its own closed neighborhood.
 The LP is tiny (one variable and one constraint per vertex) and solved
 exactly by the two-phase simplex in simplex.py. brute_force_lp_min is an
 independent cross-check: it enumerates every square subsystem of active
-constraints, solves each by Gaussian elimination, and takes the best
-feasible corner. It shares no code with the simplex.
+constraints, solves each by fraction-free integer elimination, and takes
+the best feasible corner. It shares no code with the simplex.
 
 proof_function_total builds the explicit vertex function that transfers a
 total dominating set of a product graph down to its left factor: f(g) caps
@@ -158,6 +158,12 @@ def proof_function_total(product: FuzzyGraph, s: Iterable[str],
                          values=tuple(min(cap, m) for m in mass.values()))
 
 
+def _exact_quotient(numerator: int, divisor: int) -> int:
+    quotient, remainder = divmod(numerator, divisor)
+    assert remainder == 0, "a fraction-free elimination step must divide exactly"
+    return quotient
+
+
 def brute_force_lp_min(lp: LpInstance) -> Optional[Fraction]:
     """Independent LP oracle: best objective over all basic points.
 
@@ -167,55 +173,63 @@ def brute_force_lp_min(lp: LpInstance) -> Optional[Fraction]:
     when it is nonempty the optimum of the unit-cost objective sits at such
     a corner, and when no corner is feasible the program is infeasible.
     Only usable at small sizes: C(rows + n, n) systems are solved.
+
+    Each system is solved in integers. The right-hand sides are alpha times
+    its denominator q, and fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 22, 1968) ends with every diagonal entry equal to the
+    system's determinant D (up to sign) and the right-hand column equal to
+    D * q * x. Every division in it is exact, which is asserted.
     """
     from itertools import combinations
 
     n = len(lp.vertex_ids)
-    zero = Fraction(0)
-    one = Fraction(1)
     if n == 0:
-        return zero
+        return Fraction(0)
+    q = lp.alpha.denominator
 
-    # constraint list: (coefficients, rhs) for rows.x >= rhs
-    constraints: list[tuple[list[Fraction], Fraction]] = []
+    # constraint list: (coefficients, q * rhs) for rows.x >= rhs
+    constraints: list[tuple[list[int], int]] = []
     for cols in lp.rows:
-        row = [zero] * n
+        row = [0] * n
         for j in cols:
-            row[j] = one
-        constraints.append((row, lp.alpha))
+            row[j] = 1
+        constraints.append((row, lp.alpha.numerator))
     for j in range(n):
-        bound = [zero] * n
-        bound[j] = one
-        constraints.append((bound, zero))
+        bound = [0] * n
+        bound[j] = 1
+        constraints.append((bound, 0))
 
-    def solve_square(idx: tuple[int, ...]) -> Optional[list[Fraction]]:
-        a = [constraints[i][0][:] for i in idx]
-        b = [constraints[i][1] for i in idx]
+    def solve_square(idx: tuple[int, ...]) -> Optional[tuple[int, list[int]]]:
+        """(D, y) with D > 0 and x = y / (D * q); None when singular."""
+        a = [constraints[i][0] + [constraints[i][1]] for i in idx]
+        det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col] != 0), None)
             if piv is None:
                 return None  # singular: not a corner-defining subsystem
             a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = one / a[col][col]
-            a[col] = [v * inv for v in a[col]]
-            b[col] *= inv
+            p = a[col][col]
             for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                    b[r] -= f * b[col]
-        return b
+                f = a[r][col]
+                # a row with f = 0 is left as it is when p equals det
+                if r != col and (f != 0 or p != det):
+                    a[r] = [_exact_quotient(p * v - f * w, det)
+                            for v, w in zip(a[r], a[col])]
+            det = p
+        y = [row[n] for row in a]
+        return (det, y) if det > 0 else (-det, [-v for v in y])
 
     best: Optional[Fraction] = None
     for idx in combinations(range(len(constraints)), n):
-        x = solve_square(idx)
-        if x is None:
+        solved = solve_square(idx)
+        if solved is None:
             continue
-        if any(sum((c * v for c, v in zip(coeffs, x)), zero) < rhs
+        det, y = solved
+        # rows.x >= rhs, multiplied through by det * q > 0
+        if any(sum(c * v for c, v in zip(coeffs, y)) < rhs * det
                for coeffs, rhs in constraints):
             continue
-        value = sum(x, zero)
+        value = Fraction(sum(y), det * q)
         if best is None or value < best:
             best = value
     return best
