@@ -20,7 +20,7 @@ from fractions import Fraction
 
 MAX_FRACTIONAL_DIGITS = 6
 
-_DECIMAL_RE = re.compile(r"(?P<int>[01])?(?:\.(?P<frac>[0-9]+))?\Z")
+_DECIMAL_RE = re.compile(r"(?P<int>0|[1-9][0-9]*)?(?:\.(?P<frac>[0-9]+))?\Z")
 
 
 class WeightError(ValueError):
@@ -42,8 +42,9 @@ class OutOfRangeError(WeightError):
 def parse_weight(text: str) -> Fraction:
     """Parse a decimal literal like "0.15" into an exact Fraction in [0, 1].
 
-    Accepted forms: "0", "1", "0.15", "1.0", ".5". Anything else (signs,
-    exponents, extra integer digits, stray characters) is rejected.
+    Accepted forms: "0", "1", "0.15", "1.0", ".5". Signs, exponents, a
+    leading zero before another digit and stray characters are malformed;
+    a well-formed literal above 1, such as "2" or "1.5", is out of range.
     """
     if not isinstance(text, str):
         raise MalformedWeightError(f"weight must be a string, got {type(text).__name__}")
@@ -54,8 +55,10 @@ def parse_weight(text: str) -> Fraction:
     if len(frac) > MAX_FRACTIONAL_DIGITS:
         raise OverPrecisionError(
             f"{text!r} has {len(frac)} fractional digits (max {MAX_FRACTIONAL_DIGITS})")
-    whole = int(m.group("int") or "0")
-    value = Fraction(whole) + (Fraction(int(frac), 10 ** len(frac)) if frac else Fraction(0))
+    whole = m.group("int") or "0"
+    if len(whole) > 1:  # at least 10; int() of a long digit string can fail
+        raise OutOfRangeError(f"{text!r} is outside [0, 1]")
+    value = Fraction(int(whole)) + (Fraction(int(frac), 10 ** len(frac)) if frac else Fraction(0))
     if not 0 <= value <= 1:
         raise OutOfRangeError(f"{text!r} is outside [0, 1]")
     return value

@@ -148,6 +148,13 @@ def test_alpha_requires_positive_level(files):
     assert info.value.code == 2
 
 
+def test_alpha_above_one_reports_the_range(files, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["alpha", files["k2-low"], "--alpha", "2"])
+    assert info.value.code == 2
+    assert "'2' is outside [0, 1]" in capsys.readouterr().err
+
+
 def test_alpha_modes_are_exclusive(files):
     with pytest.raises(SystemExit) as info:
         main(["alpha", files["k2-low"], "--alpha", "0.1",

@@ -144,6 +144,12 @@ def _product_doc(vertex_id="a|b", **block_changes):
                  id="over-precise"),
     pytest.param(_doc(edges=[{"u": "a", "v": "a", "mu": "1.5"}]),
                  "edges[0].mu: '1.5' is outside [0, 1]", id="out-of-range"),
+    pytest.param(_doc(vertices=[{"id": "a", "sigma": "2"}]),
+                 "vertices[0].sigma: '2' is outside [0, 1]",
+                 id="integer-out-of-range"),
+    pytest.param(_doc(vertices=[{"id": "a", "sigma": "01"}]),
+                 "vertices[0].sigma: not a decimal weight literal: '01'",
+                 id="leading-zero"),
     pytest.param(_doc(vertices=[{"id": "a", "sigma": "0.5"}] * 2),
                  "duplicate vertex id 'a'", id="graph-error"),
     # weights are parsed once per distinct literal: a bad one still fails at

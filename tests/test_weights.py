@@ -31,7 +31,7 @@ def test_parse_accepts_decimals(text, expected):
 
 @pytest.mark.parametrize("text", [
     "", "abc", "1.", "0..1", "0.1.2", "-0.1", "+0.5", "1e-3",
-    "2", "0,5", "1/2",
+    "01", "0,5", "1/2",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedWeightError):
