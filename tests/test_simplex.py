@@ -116,7 +116,7 @@ def _best_corner(costs, rows, rhs):
     constraints = list(zip(rows, rhs)) + bounds
     best = None
     for chosen in combinations(constraints, n):
-        x = _solve_square([list(a) for a, _ in chosen], [b for _, b in chosen])
+        x = _solve_square([a for a, _ in chosen], [b for _, b in chosen])
         if x is None or any(_dot(a, x) < b for a, b in constraints):
             continue
         value = _dot(costs, x)
