@@ -13,8 +13,16 @@ uncovered requirement with the fewest allowed (not banned) coverers, ties
 to the lowest index. The child for its k-th allowed coverer, in index
 order, picks that coverer and bans coverers 1..k-1 in its subtree, so each
 cover is enumerated once, not once per order of its picks. A requirement
-with no allowed coverer left prunes the node. A requirement with a single
-coverer puts it in every cover, so the root starts with all such picks.
+with a single coverer puts it in every cover, so the root starts with all
+such picks.
+
+Every uncovered requirement keeps an allowed coverer. At the root each
+has one, or the search returns None before it starts. If the branch
+requirement has k allowed coverers, the fewest of any, its j-th child bans
+only j-1 of them, so every other uncovered requirement keeps at least
+k - (j - 1) >= 1. So every node that is not a cover has a child, and since
+nothing is pruned before the first incumbent, the first path the search
+follows ends at a cover.
 
 Tie-break contract: among all optimal covers, return the one whose sorted
 index tuple is lexicographically smallest. Three facts keep that exact:
@@ -136,7 +144,7 @@ def solve_min_cover(
             continue
         # one pass builds the bound and finds the requirement with the
         # fewest allowed coverers; it breaks off (and the node is pruned)
-        # at a requirement with none, or once the bound passes the incumbent
+        # once the bound passes the incumbent
         slack = None if best_weight is None else (best_weight - weight) * _SCALE
         bound = 0
         fewest = n + 1
@@ -155,8 +163,6 @@ def solve_min_cover(
                 if count == 0 or term < cheapest:
                     cheapest = term
                 count += 1
-            if count == 0:
-                break
             if count < fewest:
                 fewest = count
                 branch_v = v
@@ -174,6 +180,4 @@ def solve_min_cover(
             # reversed so the lowest-index coverer is explored first (LIFO)
             stack.extend(reversed(children))
 
-    if best_weight is None:
-        return None
     return best_weight, best_mask
