@@ -7,10 +7,12 @@ variant (gamma_alpha) sums over closed neighborhoods instead and is always
 feasible because every vertex belongs to its own closed neighborhood.
 
 The LP is tiny (one variable and one constraint per vertex) and solved
-exactly by the two-phase simplex in simplex.py. brute_force_lp_min is an
-independent cross-check: it enumerates every square subsystem of active
-constraints, solves each by fraction-free integer elimination, and takes
-the best feasible corner. It shares no code with the simplex.
+exactly by the two-phase simplex in simplex.py, which gets the rows as 0/1
+ints and unit int costs. build_lp is where the LP path coerces alpha to a
+Fraction, once; the returned function carries lp.alpha. brute_force_lp_min
+is an independent cross-check: it enumerates every square subsystem of
+active constraints, solves each by fraction-free integer elimination, and
+takes the best feasible corner. It shares no code with the simplex.
 
 proof_function_total builds the explicit vertex function that transfers a
 total dominating set of a product graph down to its left factor: f(g) caps
@@ -88,20 +90,17 @@ def _solve_to_function(g: FuzzyGraph, alpha: Fraction,
                        mode: Mode) -> Optional[AlphaFunction]:
     lp = build_lp(g, alpha, mode)
     n = len(lp.vertex_ids)
-    zero = Fraction(0)
-    one = Fraction(1)
     dense = []
     for cols in lp.rows:
-        row = [zero] * n
+        row = [0] * n
         for j in cols:
-            row[j] = one
+            row[j] = 1
         dense.append(row)
-    solved = simplex_minimize([one] * n, dense, [lp.alpha] * len(lp.rows))
+    solved = simplex_minimize([1] * n, dense, [lp.alpha] * len(lp.rows))
     if solved is None:
         return None
-    _, assignment = solved
-    return AlphaFunction(vertex_ids=g.vertices, values=assignment,
-                         alpha=Fraction(alpha), mode=mode)
+    return AlphaFunction(vertex_ids=lp.vertex_ids, values=solved[1],
+                         alpha=lp.alpha, mode=mode)
 
 
 def gamma_t_alpha(g: FuzzyGraph, alpha: Fraction) -> Optional[AlphaFunction]:
@@ -110,12 +109,12 @@ def gamma_t_alpha(g: FuzzyGraph, alpha: Fraction) -> Optional[AlphaFunction]:
     None when infeasible, i.e. when some vertex has no effective neighbor.
     The optimum value is the returned function's weight.
     """
-    return _solve_to_function(g, Fraction(alpha), "open")
+    return _solve_to_function(g, alpha, "open")
 
 
 def gamma_alpha(g: FuzzyGraph, alpha: Fraction) -> AlphaFunction:
     """Closed-neighborhood variant; always feasible (f = alpha everywhere works)."""
-    result = _solve_to_function(g, Fraction(alpha), "closed")
+    result = _solve_to_function(g, alpha, "closed")
     assert result is not None, "closed covering program cannot be infeasible"
     return result
 

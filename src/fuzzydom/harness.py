@@ -367,41 +367,38 @@ def _check_t8(ctx: _PairContext) -> CheckResult:
     })
 
 
+def _alpha_bound_claim(ctx: _PairContext, nu: Fraction,
+                       solve: Callable[[FuzzyGraph, Fraction], AlphaFunction],
+                       nu_key: str, gamma_key: str) -> CheckResult:
+    """nu >= max(gamma^2a(G), gamma^2a(H)), each side solved by solve."""
+    alpha = ctx.alpha
+    left = solve(ctx.g, 2 * alpha).weight
+    right = solve(ctx.h, 2 * alpha).weight
+    if nu >= max(left, right):
+        return CheckResult("holds")
+    return CheckResult("violated", {
+        "alpha": format_weight(alpha),
+        nu_key: format_weight(nu),
+        f"{gamma_key}_left": format_weight(left),
+        f"{gamma_key}_right": format_weight(right),
+    })
+
+
 def _check_t9(ctx: _PairContext) -> CheckResult:
+    # a total dominating set of each factor makes its open program feasible
     if not (ctx.nontrivial_connected_factors() and ctx.sigma_at_least_alpha()
             and ctx.tot_left.found and ctx.tot_right.found
             and ctx.tot_product.found):
         return CheckResult("not-applicable")
-    alpha = ctx.alpha
-    left = gamma_t_alpha(ctx.g, 2 * alpha)
-    right = gamma_t_alpha(ctx.h, 2 * alpha)
-    assert left is not None and right is not None
-    bound = max(left.weight, right.weight)
-    if ctx.tot_product.optimum >= bound:
-        return CheckResult("holds")
-    return CheckResult("violated", {
-        "alpha": format_weight(alpha),
-        "nu_t_product": format_weight(ctx.tot_product.optimum),
-        "gamma_t_2alpha_left": format_weight(left.weight),
-        "gamma_t_2alpha_right": format_weight(right.weight),
-    })
+    return _alpha_bound_claim(ctx, ctx.tot_product.optimum, gamma_t_alpha,
+                              "nu_t_product", "gamma_t_2alpha")
 
 
 def _check_t10(ctx: _PairContext) -> CheckResult:
     if not (ctx.nontrivial_connected_factors() and ctx.sigma_at_least_alpha()):
         return CheckResult("not-applicable")
-    alpha = ctx.alpha
-    left = gamma_alpha(ctx.g, 2 * alpha)
-    right = gamma_alpha(ctx.h, 2 * alpha)
-    bound = max(left.weight, right.weight)
-    if ctx.dom_product.optimum >= bound:
-        return CheckResult("holds")
-    return CheckResult("violated", {
-        "alpha": format_weight(alpha),
-        "nu_product": format_weight(ctx.dom_product.optimum),
-        "gamma_2alpha_left": format_weight(left.weight),
-        "gamma_2alpha_right": format_weight(right.weight),
-    })
+    return _alpha_bound_claim(ctx, ctx.dom_product.optimum, gamma_alpha,
+                              "nu_product", "gamma_2alpha")
 
 
 def _check_t11(ctx: _PairContext) -> CheckResult:

@@ -1,9 +1,10 @@
 """Two-phase simplex over exact rationals, pivoting in integers.
 
-Solves min c.x subject to rows.x >= rhs, x >= 0. Every number at the
-interface is a fractions.Fraction. Intended for the small covering programs
-this package produces (0/1 rows, positive right-hand sides, unit costs),
-but written for any nonnegative costs and rows.
+Solves min c.x subject to rows.x >= rhs, x >= 0. Inputs are ints or
+fractions.Fraction, read only through their numerators and denominators;
+results are Fractions. Intended for the small covering programs this
+package produces (0/1 int rows, unit costs, right-hand sides alpha), but
+written for any nonnegative costs and rows.
 
 The pivots run on an integer tableau T with one common divisor d > 0: the
 true tableau is always T / d, and every basic column of T is d times a unit
@@ -54,14 +55,14 @@ from typing import Optional, Sequence
 Vector = tuple[Fraction, ...]
 
 
-def _integers(values: list[Fraction], scale: int) -> list[int]:
+def _integers(values: Sequence[int | Fraction], scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def simplex_minimize(
-    costs: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    costs: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction],
 ) -> Optional[tuple[Fraction, Vector]]:
     """Exact optimum of min costs.x, rows.x >= rhs, x >= 0.
 
@@ -69,8 +70,6 @@ def simplex_minimize(
     """
     n = len(costs)
     m = len(rows)
-    zero = Fraction(0)
-    costs = [Fraction(c) for c in costs]
     if any(c < 0 for c in costs):
         raise ValueError("costs must be nonnegative to keep the program bounded")
     if len(rhs) != m or any(len(r) != n for r in rows):
@@ -78,23 +77,21 @@ def simplex_minimize(
     if any(b < 0 for b in rhs):
         raise ValueError("right-hand sides must be nonnegative")
     if m == 0:
-        return zero, tuple([zero] * n)
+        return Fraction(0), (Fraction(0),) * n
 
-    lines = [[Fraction(v) for v in row] + [Fraction(b)]
-             for row, b in zip(rows, rhs)]
-    scale = lcm(*(v.denominator for line in lines for v in line))
+    scale = lcm(*(v.denominator for row in rows for v in row),
+                *(b.denominator for b in rhs))
 
     # Each constraint becomes the equality L*row.x - s_i + a_i = L*rhs_i
     # with surplus s_i >= 0 and artificial a_i >= 0.
     # Columns: x (n) | s (m) | artificial (m) | rhs.
     width = n + 2 * m
     tab: list[list[int]] = []
-    for i, line in enumerate(lines):
-        scaled = _integers(line, scale)
-        row = scaled[:n] + [0] * (2 * m) + scaled[n:]
-        row[n + i] = -1
-        row[n + m + i] = 1
-        tab.append(row)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        line = _integers(row, scale) + [0] * (2 * m) + _integers((b,), scale)
+        line[n + i] = -1
+        line[n + m + i] = 1
+        tab.append(line)
     basis = [n + m + i for i in range(m)]
     d = 1
 
@@ -163,7 +160,7 @@ def simplex_minimize(
     phase2 = _integers(costs, cost_scale) + [0] * m
     optimize(phase2, n + m)
 
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(tab[i][-1], d)

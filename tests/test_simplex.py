@@ -46,13 +46,15 @@ def test_redundant_duplicate_rows():
     assert value == 2
 
 
-def test_fractional_optimum_stays_exact():
-    # triangle covering: min x1+x2+x3 with each pair summing to alpha
+@pytest.mark.parametrize("number", [int, F])
+def test_fractional_optimum_stays_exact(number):
+    # triangle covering: min x1+x2+x3 with each pair summing to alpha;
+    # int and Fraction rows and costs give the same exact Fractions
     alpha = F(3, 10)
-    rows = [[F(1), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    value, x = simplex_minimize([F(1)] * 3, rows, [alpha] * 3)
-    assert value == F(9, 20)  # 3 * alpha / 2, not a float artifact
-    assert all(v == F(3, 20) for v in x)
+    rows = [[number(v) for v in row] for row in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+    value, x = simplex_minimize([number(1)] * 3, rows, [alpha] * 3)
+    assert (value, x) == (F(9, 20), (F(3, 20),) * 3)  # 3 * alpha / 2
+    assert all(type(v) is F for v in (value, *x))
 
 
 def test_rejects_negative_costs():
