@@ -86,8 +86,10 @@ class ProductError(GraphError):
     """A product tag that does not describe its graph, or a missing tag."""
 
 
-def _weight_error(where: str) -> GraphStructureError:
-    return GraphStructureError(f"{where}: weight must be a rational or string")
+def _weight_error(where: str, weight: object) -> GraphStructureError:
+    return GraphStructureError(
+        f"{where}: weight must be a Fraction (or a decimal string through "
+        f"FuzzyGraph.build), got {type(weight).__name__}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class FuzzyGraph:
                     f"bad vertex id {vid!r}: ids are nonempty tokens without "
                     "whitespace, commas, or parentheses")
             if not isinstance(s, Fraction):
-                raise _weight_error(f"sigma({vid})")
+                raise _weight_error(f"sigma({vid})", s)
         if self.product_tag is not None:
             _check_tag(self)
         idx = self._positions
@@ -150,7 +152,7 @@ class FuzzyGraph:
                     f"duplicate edge ({u},{v})" if (u, v) == previous else
                     f"edge ({u},{v}) is not oriented u <= v and sorted by pair")
             if not isinstance(mu, Fraction):
-                raise _weight_error(f"mu({u},{v})")
+                raise _weight_error(f"mu({u},{v})", mu)
             previous = (u, v)
         violations = validate(self)
         if violations:

@@ -64,7 +64,9 @@ def test_build_rejects_out_of_range_weights():
 
 @pytest.mark.parametrize("weight", [1, True])
 def test_build_rejects_weights_that_are_not_fractions_or_strings(weight):
-    with pytest.raises(GraphStructureError, match="rational or string"):
+    with pytest.raises(GraphStructureError, match=re.escape(
+            "sigma(a): weight must be a Fraction (or a decimal string through "
+            f"FuzzyGraph.build), got {type(weight).__name__}")):
         FuzzyGraph.build("g", [("a", weight)])
 
 
@@ -110,8 +112,18 @@ _EDGELESS_PRODUCT = {"name": "p", "vertices": ("a|x", "a|y", "b|x", "b|y"),
     pytest.param({"vertices": ("a", "a"), "sigma": (_HALF, _THIRD)},
                  GraphStructureError, "duplicate vertex id 'a'", id="duplicate-id"),
     pytest.param({"vertices": ("a",), "sigma": (0.5,)},
-                 GraphStructureError, "sigma(a): weight must be a rational or string",
+                 GraphStructureError, "sigma(a): weight must be a Fraction (or a "
+                 "decimal string through FuzzyGraph.build), got float",
                  id="float-weight"),
+    pytest.param({"vertices": ("a", "b"), "sigma": (_HALF, _HALF),
+                  "edges": (("a", "b", 0.5),)},
+                 GraphStructureError, "mu(a,b): weight must be a Fraction (or a "
+                 "decimal string through FuzzyGraph.build), got float",
+                 id="float-mu"),
+    pytest.param({"vertices": ("a",), "sigma": ("0.5",)},
+                 GraphStructureError, "sigma(a): weight must be a Fraction (or a "
+                 "decimal string through FuzzyGraph.build), got str",
+                 id="string-sigma"),
     pytest.param({"vertices": ("a b",), "sigma": (_HALF,)},
                  GraphStructureError, "bad vertex id 'a b'", id="bad-token"),
     pytest.param({"vertices": ("a", "b"), "sigma": (_HALF, _HALF),
