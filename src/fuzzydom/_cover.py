@@ -1,8 +1,9 @@
 """Exact min-weight set-cover kernel.
 
 This is the hot search behind the domination solvers. Vertices are bit
-positions; cover_masks[u] is the set of requirement bits that picking u
-satisfies; weights are nonnegative scaled integers. The search is a
+positions, and so are the requirements: every one of the n bits must be
+covered, and cover_masks[u] is the set of them that picking u satisfies;
+weights are nonnegative scaled integers. The search is a
 branch-and-bound with an explicit stack, so it is reentrant and never hits
 recursion limits. The independent brute-force oracle in domination.py
 intentionally shares none of this code.
@@ -85,24 +86,23 @@ def lex_tuple_less(a: int, b: int) -> bool:
 def solve_min_cover(
     cover_masks: Sequence[int],
     weights: Sequence[int],
-    required_mask: int,
 ) -> Optional[tuple[int, int]]:
-    """Minimize total weight of S with union(cover_masks[u] for u in S) ⊇ required.
+    """Minimize total weight of S with union(cover_masks[u] for u in S) all n bits.
 
     Returns (weight, chosen_mask) with the tie-break documented above, or
-    None when some required bit has no coverer.
+    None when some bit has no coverer.
     """
     n = len(cover_masks)
     if len(weights) != n:
         raise ValueError("cover_masks and weights must have equal length")
-    if required_mask >> n:
-        raise ValueError("required_mask references vertices beyond range")
+    if any(m >> n for m in cover_masks):
+        raise ValueError("cover_masks reference vertices beyond range")
 
-    covers = [m & required_mask for m in cover_masks]
+    full = (1 << n) - 1
     # coverers[v]: the vertices covering requirement v, ascending
     coverers: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
-        m = covers[u]
+        m = cover_masks[u]
         while m:
             low = m & -m
             coverers[low.bit_length() - 1].append(u)
@@ -112,17 +112,17 @@ def solve_min_cover(
     for v in range(n):
         if len(coverers[v]) == 1:
             forced |= 1 << coverers[v][0]
-        elif not coverers[v] and required_mask >> v & 1:
+        elif not coverers[v]:
             return None
     root_weight = 0
     root_covered = 0
     for u in range(n):
         if forced >> u & 1:
             root_weight += weights[u]
-            root_covered |= covers[u]
+            root_covered |= cover_masks[u]
     # share[u][hits]: w(u) * _SCALE / hits, rounded down
     share = [[0, *map((w * _SCALE).__floordiv__, range(1, c.bit_count() + 1))]
-             for w, c in zip(weights, covers)]
+             for w, c in zip(weights, cover_masks)]
     zero_mask = sum(1 << u for u in range(n) if weights[u] == 0)
 
     best_weight: Optional[int] = None
@@ -132,7 +132,7 @@ def solve_min_cover(
     stack = [(forced, root_weight, root_covered, 0)]
     while stack:
         chosen, weight, covered, banned = stack.pop()
-        uncovered = required_mask & ~covered
+        uncovered = full & ~covered
         if uncovered == 0:
             candidate = chosen
             if chosen:
@@ -159,7 +159,7 @@ def solve_min_cover(
             for u in coverers[v]:
                 if banned >> u & 1:
                     continue
-                term = share[u][(covers[u] & uncovered).bit_count()]
+                term = share[u][(cover_masks[u] & uncovered).bit_count()]
                 if count == 0 or term < cheapest:
                     cheapest = term
                 count += 1
@@ -175,7 +175,7 @@ def solve_min_cover(
                 if banned >> u & 1:
                     continue
                 children.append((chosen | 1 << u, weight + weights[u],
-                                 covered | covers[u], banned))
+                                 covered | cover_masks[u], banned))
                 banned |= 1 << u
             # reversed so the lowest-index coverer is explored first (LIFO)
             stack.extend(reversed(children))

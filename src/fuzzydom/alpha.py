@@ -5,14 +5,25 @@ vertex so that every open effective neighborhood sums to at least alpha;
 gamma_t_alpha is the minimum total weight of such a function. The closed
 variant (gamma_alpha) sums over closed neighborhoods instead and is always
 feasible because every vertex belongs to its own closed neighborhood.
+Nothing caps f(v) at 1: at levels above 1 an optimum can need more. At
+levels up to 1 a cap would never bind: lowering a value above 1 to 1
+leaves every row through it at 1 >= alpha or more, and costs less, so no
+optimum has a value above 1.
 
-The LP is tiny (one variable and one constraint per vertex) and solved
-exactly by the two-phase simplex in simplex.py, which gets the rows as 0/1
-ints and unit int costs. build_lp is where the LP path coerces alpha to a
-Fraction, once; the returned function carries lp.alpha. brute_force_lp_min
-is an independent cross-check: it enumerates every square subsystem of
-active constraints, solves each by fraction-free integer elimination, and
-takes the best feasible corner. It shares no code with the simplex.
+The LP is tiny (one variable and one constraint per vertex). The simplex
+in simplex.py solves it exactly at level 1, and the level-alpha
+assignment is alpha times that solution. That is exact, not a shortcut:
+alpha scales only the right-hand-side column, so every tableau entry of
+that column at level alpha is alpha times its value at level 1, and the
+other columns and the reduced costs do not depend on it. Every ratio
+test and every Bland choice comes out the same, the solve ends on the same
+basis, and x(alpha) = alpha * x(1). build_lp is where the LP path coerces
+alpha to a Fraction, once, after checking that it is an int or a Fraction;
+the returned function carries lp.alpha. brute_force_lp_min is an
+independent cross-check: it enumerates every square subsystem of active
+constraints at level alpha, solves each by fraction-free integer
+elimination, and takes the best feasible corner. It shares no code with
+the simplex.
 
 proof_function_total builds the explicit vertex function that transfers a
 total dominating set of a product graph down to its left factor: f(g) caps
@@ -75,7 +86,15 @@ class AlphaFunction:
         return sum(self.values, Fraction(0))
 
 
-def build_lp(g: FuzzyGraph, alpha: Fraction, mode: Mode) -> LpInstance:
+def _level(alpha: int | Fraction) -> Fraction:
+    """alpha as a Fraction; TypeError for anything but an int or a Fraction."""
+    if type(alpha) not in (int, Fraction):
+        raise TypeError(
+            f"alpha must be an int or a Fraction, got {type(alpha).__name__}")
+    return Fraction(alpha)
+
+
+def build_lp(g: FuzzyGraph, alpha: int | Fraction, mode: Mode) -> LpInstance:
     """One variable per vertex, one covering row per vertex neighborhood."""
     masks = _effective_adjacency(g)
     if mode == "closed":
@@ -83,23 +102,17 @@ def build_lp(g: FuzzyGraph, alpha: Fraction, mode: Mode) -> LpInstance:
     columns = range(len(g.vertices))
     rows = tuple(tuple(j for j in columns if m >> j & 1) for m in masks)
     return LpInstance(vertex_ids=g.vertices, rows=rows,
-                      alpha=Fraction(alpha), mode=mode)
+                      alpha=_level(alpha), mode=mode)
 
 
 def _solve_to_function(g: FuzzyGraph, alpha: Fraction,
                        mode: Mode) -> Optional[AlphaFunction]:
     lp = build_lp(g, alpha, mode)
-    n = len(lp.vertex_ids)
-    dense = []
-    for cols in lp.rows:
-        row = [0] * n
-        for j in cols:
-            row[j] = 1
-        dense.append(row)
-    solved = simplex_minimize([1] * n, dense, [lp.alpha] * len(lp.rows))
-    if solved is None:
+    x = simplex_minimize(len(lp.vertex_ids), lp.rows)
+    if x is None:
         return None
-    return AlphaFunction(vertex_ids=lp.vertex_ids, values=solved[1],
+    return AlphaFunction(vertex_ids=lp.vertex_ids,
+                         values=tuple(lp.alpha * v for v in x),
                          alpha=lp.alpha, mode=mode)
 
 
@@ -143,7 +156,7 @@ def proof_function_total(product: FuzzyGraph, s: Iterable[str],
     open mode; whether it actually meets that level is for the caller (the
     theorem harness) to test, no guarantee is made here.
     """
-    alpha = Fraction(alpha)
+    alpha = _level(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     pairs = _product_pairs(product)

@@ -83,7 +83,6 @@ def has_total_dominating(g: FuzzyGraph) -> bool:
 
 
 def _solve(g: FuzzyGraph, kind: Kind) -> DominationResult:
-    n = len(g.vertices)
     masks = _effective_adjacency(g)
     if kind == "dominating":
         masks = [m | 1 << i for i, m in enumerate(masks)]
@@ -91,7 +90,7 @@ def _solve(g: FuzzyGraph, kind: Kind) -> DominationResult:
     scale = lcm(*(s.denominator for s in g.sigma))
     weights = [s.numerator * (scale // s.denominator) for s in g.sigma]
 
-    solved = _cover.solve_min_cover(masks, weights, (1 << n) - 1)
+    solved = _cover.solve_min_cover(masks, weights)
     if solved is None:
         return DominationResult(kind=kind, status="nonexistent",
                                 optimum=None, witness=None)

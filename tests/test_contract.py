@@ -5,7 +5,9 @@ that equals its FuzzyGraph.build twin or raises GraphError. graph_of_document
 takes any JSON value and either makes a graph or raises FileFormatError, and
 the CLI turns that into exit status 0 or 1. Nothing else escapes: no
 TypeError from an unhashable field, no AttributeError from a weight that is
-not a Fraction, no KeyError from an unknown endpoint.
+not a Fraction, no KeyError from an unknown endpoint. The alpha level of
+the LP path is an int or a Fraction; anything else is a TypeError naming
+its type, not a level rounded from a float.
 
 The strategies start from well-formed values and corrupt a few of them, so
 that both outcomes of each contract occur often.
@@ -14,10 +16,13 @@ that both outcomes of each contract occur often.
 import json
 import os
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzydom.alpha import build_lp, gamma_alpha, gamma_t_alpha, proof_function_total
 from fuzzydom.cli import main
 from fuzzydom.core import FuzzyGraph, GraphError, ProductTag, _effective_adjacency
 from fuzzydom.fileformat import FileFormatError, document_of, graph_of_document
@@ -172,3 +177,22 @@ def test_cli_on_any_document_exits_zero_or_one(doc):
             json.dump(doc, fh)
         assert main(["validate", path]) in (0, 1)
         assert main(["dominate", path]) in (0, 1)
+
+
+_K2 = FuzzyGraph.build("k2", [("u", "0.2"), ("v", "0.2")], [("u", "v", "0.2")])
+
+
+@pytest.mark.parametrize("alpha", [0.1, "0.1", Decimal("0.1"), True, None],
+                         ids=["float", "str", "Decimal", "bool", "None"])
+def test_alpha_must_be_an_int_or_a_fraction(alpha):
+    calls = (lambda: build_lp(_K2, alpha, "open"), lambda: gamma_alpha(_K2, alpha),
+             lambda: gamma_t_alpha(_K2, alpha),
+             lambda: proof_function_total(_K2, (), alpha))
+    for call in calls:
+        with pytest.raises(TypeError, match=f"got {type(alpha).__name__}$"):
+            call()
+
+
+def test_alpha_may_be_an_int():
+    f = gamma_alpha(_K2, 1)
+    assert (f.alpha, f.values) == (Fraction(1), (Fraction(1), Fraction(0)))

@@ -1,5 +1,6 @@
 """Graph construction, validation, and effective-edge machinery."""
 
+import gc
 import re
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from fuzzydom.core import (
     open_neighborhood,
     validate,
 )
+from fuzzydom.harness import GenParams, run_corpus
 from fuzzydom.product import ProductError
 
 from .conftest import graphs
@@ -379,3 +381,18 @@ def test_integer_checks_match_the_fraction_rule(fields):
                                        if e[0] != "b" or e[1] != "d")})
 def test_effective_masks_match_the_fraction_rule(fields):
     assert _effective_adjacency(FuzzyGraph(**fields)) == _reference_masks(fields)
+
+
+def _live_graphs() -> int:
+    gc.collect()
+    return sum(isinstance(o, FuzzyGraph) for o in gc.get_objects())
+
+
+def test_corpus_runs_keep_no_more_graphs_alive_than_the_cache_holds():
+    # 200 pairs make over 600 graphs; only the cache's entries may outlive them
+    cap = _effective_adjacency.cache_info().maxsize
+    before = _live_graphs()
+    run_corpus([(GenParams(4, Fraction(1, 2), Fraction(1, 2), 10, 2 * i),
+                 GenParams(4, Fraction(1, 2), Fraction(1, 2), 10, 2 * i + 1))
+                for i in range(200)])
+    assert cap is not None and _live_graphs() - before <= cap

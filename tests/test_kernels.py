@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzydom._cover import lex_tuple_less, solve_min_cover
@@ -19,11 +20,17 @@ def test_lex_prefix_is_smaller():
 
 
 def test_infeasible_returns_none():
-    assert solve_min_cover([0b01, 0b01], [1, 1], 0b11) is None
+    assert solve_min_cover([0b01, 0b01], [1, 1]) is None
 
 
 def test_trivial_empty_requirement():
-    assert solve_min_cover([0b1], [5], 0) == (0, 0)
+    # no vertices, so nothing is required and the empty set covers it
+    assert solve_min_cover([], []) == (0, 0)
+
+
+def test_masks_must_stay_within_the_vertices():
+    with pytest.raises(ValueError, match="beyond range"):
+        solve_min_cover([0b10], [1])
 
 
 @st.composite
@@ -33,12 +40,12 @@ def cover_instances(draw):
              for _ in range(n)]
     # small weights with zeros make ties and zero-weight padding common
     weights = [draw(st.integers(min_value=0, max_value=4)) for _ in range(n)]
-    required = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    return masks, weights, required
+    return masks, weights
 
 
-def subset_oracle(masks, weights, required):
+def subset_oracle(masks, weights):
     """Every subset in (size, lexicographic) order; keep the least (weight, tuple)."""
+    required = (1 << len(masks)) - 1
     best = None
     for size in range(len(masks) + 1):
         for picks in combinations(range(len(masks)), size):
@@ -56,9 +63,9 @@ def subset_oracle(masks, weights, required):
 @given(cover_instances())
 @settings(max_examples=400)
 def test_kernel_matches_subset_oracle(instance):
-    masks, weights, required = instance
-    expected = subset_oracle(masks, weights, required)
-    got = solve_min_cover(masks, weights, required)
+    masks, weights = instance
+    expected = subset_oracle(masks, weights)
+    got = solve_min_cover(masks, weights)
     if expected is None:
         assert got is None
         return

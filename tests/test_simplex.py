@@ -1,87 +1,67 @@
-"""Exact two-phase simplex on hand-checked covering programs."""
+"""Exact two-phase simplex on covering programs, and alpha applied by scaling."""
 
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fuzzydom.alpha import gamma_alpha, gamma_t_alpha
 from fuzzydom.simplex import simplex_minimize
+
+from .conftest import graphs
 
 F = Fraction
 
 
 def test_single_constraint():
-    # min x1 + x2 s.t. x1 + x2 >= 3
-    value, x = simplex_minimize([F(1), F(1)], [[F(1), F(1)]], [F(3)])
-    assert value == 3
-    assert sum(x) == 3
+    # min x1 + x2 s.t. x1 + x2 >= 1: Bland enters x1 first
+    assert simplex_minimize(2, [(0, 1)]) == (1, 0)
 
 
 def test_two_overlapping_constraints():
     # min x1+x2+x3 with x1+x2 >= 1 and x2+x3 >= 1: put everything on x2
-    value, x = simplex_minimize(
-        [F(1)] * 3,
-        [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
-        [F(1), F(1)])
-    assert value == 1
-    assert x[1] == 1
+    assert simplex_minimize(3, [(0, 1), (1, 2)]) == (0, 1, 0)
 
 
 def test_infeasible_row_returns_none():
-    # 0 >= 1 cannot be satisfied
-    assert simplex_minimize([F(1)], [[F(0)]], [F(1)]) is None
-
-
-def test_rejects_negative_rhs():
-    with pytest.raises(ValueError, match="right-hand sides"):
-        simplex_minimize([F(1)], [[F(1)]], [F(-2)])
+    # an empty row reads 0 >= 1
+    assert simplex_minimize(1, [()]) is None
+    assert simplex_minimize(2, [(0, 1), ()]) is None
 
 
 def test_redundant_duplicate_rows():
-    value, _ = simplex_minimize(
-        [F(1), F(1)],
-        [[F(1), F(1)], [F(1), F(1)], [F(1), F(0)]],
-        [F(2), F(2), F(1)])
-    assert value == 2
+    # x1's first pivot leaves the second row's artificial basic at 0;
+    # phase 1 then pivots it out on a surplus before it ends
+    assert simplex_minimize(2, [(0, 1), (0, 1), (0,)]) == (1, 0)
 
 
-@pytest.mark.parametrize("number", [int, F])
-def test_fractional_optimum_stays_exact(number):
-    # triangle covering: min x1+x2+x3 with each pair summing to alpha;
-    # int and Fraction rows and costs give the same exact Fractions
-    alpha = F(3, 10)
-    rows = [[number(v) for v in row] for row in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
-    value, x = simplex_minimize([number(1)] * 3, rows, [alpha] * 3)
-    assert (value, x) == (F(9, 20), (F(3, 20),) * 3)  # 3 * alpha / 2
-    assert all(type(v) is F for v in (value, *x))
+def test_fractional_optimum_stays_exact():
+    # triangle covering: min x1+x2+x3 with each pair summing to 1
+    x = simplex_minimize(3, [(0, 1), (0, 2), (1, 2)])
+    assert x == (F(1, 2),) * 3
+    assert all(type(v) is F for v in x)
 
 
-def test_rejects_negative_costs():
-    with pytest.raises(ValueError):
-        simplex_minimize([F(-1)], [[F(1)]], [F(1)])
+@st.composite
+def _programs(draw):
+    """n columns and up to four index rows, empty and repeated rows included."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    rows = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1))
+                         if n else st.just(set()), max_size=4))
+    return n, [tuple(sorted(row)) for row in rows]
 
 
-@given(st.integers(min_value=1, max_value=4), st.data())
-@settings(max_examples=60)
-def test_solution_is_feasible_and_supported(n, data):
-    rows = []
-    m = data.draw(st.integers(min_value=1, max_value=4))
-    for _ in range(m):
-        rows.append([F(data.draw(st.integers(min_value=0, max_value=2)))
-                     for _ in range(n)])
-    rhs = [F(data.draw(st.integers(min_value=0, max_value=3))) for _ in range(m)]
-    solved = simplex_minimize([F(1)] * n, rows, rhs)
-    if solved is None:
-        # some row demanded a positive rhs with an all-zero left side
-        assert any(all(c == 0 for c in row) and b > 0
-                   for row, b in zip(rows, rhs))
+@given(_programs())
+@settings(max_examples=100)
+def test_solution_is_feasible_and_supported(program):
+    n, rows = program
+    x = simplex_minimize(n, rows)
+    if x is None:
+        assert () in rows
         return
-    value, x = solved
-    assert value == sum(x)
+    assert len(x) == n
     assert all(v >= 0 for v in x)
-    for row, b in zip(rows, rhs):
-        assert sum(c * v for c, v in zip(row, x)) >= b
+    assert all(sum(x[j] for j in row) >= 1 for row in rows)
 
 
 def _dot(a, x):
@@ -127,54 +107,34 @@ def _best_corner(costs, rows, rhs):
     return best
 
 
-@st.composite
-def _programs(draw):
-    """Rows with negative and zero entries over a denominator of their own."""
-    n = draw(st.integers(min_value=0, max_value=4))
-    m = draw(st.integers(min_value=0, max_value=4))
-    rows = []
-    for _ in range(m):
-        den = draw(st.integers(min_value=1, max_value=7))
-        rows.append([F(draw(st.integers(min_value=-3, max_value=3)), den)
-                     for _ in range(n)])
-    rhs = [F(draw(st.integers(min_value=0, max_value=5)),
-             draw(st.integers(min_value=1, max_value=7))) for _ in range(m)]
-    costs = [F(draw(st.integers(min_value=0, max_value=3)),
-               draw(st.integers(min_value=1, max_value=3))) for _ in range(n)]
-    return costs, rows, rhs
-
-
-# Phase 1 ends with the first row's artificial basic at 0, and the first
-# nonzero entry of that row over the x and surplus columns is negative, so
-# driving it out negates the integer tableau; phase 2 then pivots on s_1.
-# Without the negation d turns negative and phase 2 stops at x = 0.
-@example(program=([F(1, 2), F(3)], [[F(0), F(-2)], [F(1), F(-1)]],
-                  [F(0), F(3)]),
-         k=F(3, 2))
-# Rows over different denominators: a solver that scales each row by its own
-# lcm weights phase 1's artificials unequally, and at 2/3 of this rhs it
-# ends on another basis.
-@example(program=([F(3, 2), F(3, 2), F(1)],
-                  [[F(3, 4), F(3, 4), F(-1, 2)],
-                   [F(1, 6), F(0), F(1, 3)],
-                   [F(-1, 3), F(-1, 3), F(1)]],
-                  [F(0), F(0), F(3, 4)]),
-         k=F(2, 3))
 @given(_programs(),
        st.builds(F, st.integers(min_value=1, max_value=6),
                  st.integers(min_value=1, max_value=6)))
 @settings(max_examples=200)
 def test_optimum_is_the_best_corner_and_scales_with_rhs(program, k):
-    costs, rows, rhs = program
-    solved = simplex_minimize(costs, rows, rhs)
-    scaled = simplex_minimize(costs, rows, [k * b for b in rhs])
-    best = _best_corner(costs, rows, rhs)
+    n, rows = program
+    dense = [[F(int(j in row)) for j in range(n)] for row in rows]
+    x = simplex_minimize(n, rows)
+    best = _best_corner([F(1)] * n, dense, [F(1)] * len(rows))
     if best is None:
-        assert solved is None and scaled is None
+        assert x is None
+        assert _best_corner([F(1)] * n, dense, [k] * len(rows)) is None
         return
-    value, x = solved
-    assert value == best == _dot(costs, x)
-    assert all(v >= 0 for v in x)
-    assert all(_dot(row, x) >= b for row, b in zip(rows, rhs))
-    # k scales every leaving ratio alike, so the pivots are the same
-    assert scaled == (k * value, tuple(k * v for v in x))
+    assert sum(x) == best
+    # k * x is feasible at level k and attains that level's best corner
+    kx = [k * v for v in x]
+    assert all(_dot(row, kx) >= k for row in dense)
+    assert _best_corner([F(1)] * n, dense, [k] * len(rows)) == sum(kx)
+
+
+@given(graphs(max_vertices=6), st.sampled_from([gamma_alpha, gamma_t_alpha]),
+       st.sampled_from([F(1, 10), F(3, 7), F(1), F(8, 5)]),
+       st.sampled_from([F(1, 3), F(2), F(5, 2)]))
+@settings(max_examples=60)
+def test_alpha_assignments_scale_with_alpha(g, solve, alpha, k):
+    base = solve(g, alpha)
+    scaled = solve(g, k * alpha)
+    if base is None:
+        assert scaled is None
+        return
+    assert scaled.values == tuple(k * v for v in base.values)
