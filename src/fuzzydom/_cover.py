@@ -21,21 +21,35 @@ Every uncovered requirement keeps an allowed coverer. At the root each
 has one, or the search returns None before it starts. If the branch
 requirement has k allowed coverers, the fewest of any, its j-th child bans
 only j-1 of them, so every other uncovered requirement keeps at least
-k - (j - 1) >= 1. So every node that is not a cover has a child, and since
-nothing is pruned before the first incumbent, the first path the search
-follows ends at a cover.
+k - (j - 1) >= 1. So every node that is not a cover has a child, and a
+node is only ever dropped by one of the two cuts below.
+
+Incumbent and cuts: the search never runs without a cover in hand. After
+the root's picks, Chvatal's greedy rule builds one: repeatedly add the
+vertex of least weight per newly covered requirement (compared by
+cross-multiplying, so in integers), ties to the lowest index. Every
+requirement has a coverer, so it ends at a cover, and its weight and plain
+mask are the first incumbent. From there two cuts apply from the first
+node: a node is pruned when its lower bound exceeds the incumbent, and a
+child is pushed only if its weight does not exceed the incumbent. A
+filtered coverer is still banned for its later siblings, as if its child
+had been pushed and then pruned.
 
 Tie-break contract: among all optimal covers, return the one whose sorted
 index tuple is lexicographically smallest. Three facts keep that exact:
 
-* pruning is strict (only when the bound provably exceeds the incumbent),
-  so equal-weight alternatives are never cut off;
 * the lexicographically smallest optimal cover L is never banned away:
   the root's picks are in L, and from there follow L, taking at each node
   L's lowest-index allowed coverer of the branch requirement (one exists,
   since L covers it and nothing in L is banned). That child bans only
   coverers below it, none of which is in L. The path ends at a cover C
   inside L;
+* neither cut can remove a node of that path, because both are strict and
+  every incumbent is a real cover, so it weighs at least the optimum. Each
+  node on the path weighs at most w(C), which is the optimum (C is inside
+  L and is a cover), so the push-time filter keeps it; and its bound is at
+  most what C still costs below it, so the prune keeps it too. So
+  equal-weight alternatives are never cut off;
 * a zero-weight vertex can sit in an optimal cover without covering
   anything new, and adding such a vertex below the cover's maximum index
   makes the tuple lexicographically smaller. The search only enumerates
@@ -44,7 +58,9 @@ index tuple is lexicographically smallest. Three facts keep that exact:
   comparison, which keeps its weight. L is the augmentation of the C
   above: L minus C weighs nothing, L has no member above C's maximum
   (dropping it would give a smaller prefix), and among covers with one
-  maximum the superset sorts first.
+  maximum the superset sorts first. The greedy incumbent is kept
+  unaugmented: if it ties the optimum, L sorts no later than it, so the
+  comparison at C's leaf replaces it unless it already is L.
 
 Lower bound (admissible): for the uncovered requirement set U, every
 completion that avoids the banned vertices pays at least the sum over v in
@@ -97,6 +113,8 @@ def solve_min_cover(
         raise ValueError("cover_masks and weights must have equal length")
     if any(m >> n for m in cover_masks):
         raise ValueError("cover_masks reference vertices beyond range")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
 
     full = (1 << n) - 1
     # coverers[v]: the vertices covering requirement v, ascending
@@ -125,8 +143,21 @@ def solve_min_cover(
              for w, c in zip(weights, cover_masks)]
     zero_mask = sum(1 << u for u in range(n) if weights[u] == 0)
 
-    best_weight: Optional[int] = None
-    best_mask = 0
+    # greedy incumbent: least weight per newly covered requirement, ties
+    # to the lowest index; every requirement has a coverer, so it ends
+    best_weight = root_weight
+    best_mask = forced
+    covered = root_covered
+    while covered != full:
+        pick = -1
+        pick_weight = pick_gain = 0
+        for u in range(n):
+            gain = (cover_masks[u] & ~covered).bit_count()
+            if gain and (pick < 0 or weights[u] * pick_gain < pick_weight * gain):
+                pick, pick_weight, pick_gain = u, weights[u], gain
+        best_weight += pick_weight
+        best_mask |= 1 << pick
+        covered |= cover_masks[pick]
 
     # stack of (chosen_mask, chosen_weight, covered_mask, banned_mask)
     stack = [(forced, root_weight, root_covered, 0)]
@@ -137,7 +168,7 @@ def solve_min_cover(
             candidate = chosen
             if chosen:
                 candidate |= zero_mask & ((1 << (chosen.bit_length() - 1)) - 1)
-            if best_weight is None or weight < best_weight or (
+            if weight < best_weight or (
                     weight == best_weight and lex_tuple_less(candidate, best_mask)):
                 best_weight = weight
                 best_mask = candidate
@@ -145,7 +176,7 @@ def solve_min_cover(
         # one pass builds the bound and finds the requirement with the
         # fewest allowed coverers; it breaks off (and the node is pruned)
         # once the bound passes the incumbent
-        slack = None if best_weight is None else (best_weight - weight) * _SCALE
+        slack = (best_weight - weight) * _SCALE
         bound = 0
         fewest = n + 1
         branch_v = 0
@@ -167,15 +198,18 @@ def solve_min_cover(
                 fewest = count
                 branch_v = v
             bound += cheapest
-            if slack is not None and bound > slack:
+            if bound > slack:
                 break
         else:
             children = []
             for u in coverers[branch_v]:
                 if banned >> u & 1:
                     continue
-                children.append((chosen | 1 << u, weight + weights[u],
-                                 covered | cover_masks[u], banned))
+                # <=, not <: a child that can tie the incumbent may lead to
+                # a lex-smaller optimum
+                if weight + weights[u] <= best_weight:
+                    children.append((chosen | 1 << u, weight + weights[u],
+                                     covered | cover_masks[u], banned))
                 banned |= 1 << u
             # reversed so the lowest-index coverer is explored first (LIFO)
             stack.extend(reversed(children))

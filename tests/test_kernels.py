@@ -33,6 +33,12 @@ def test_masks_must_stay_within_the_vertices():
         solve_min_cover([0b10], [1])
 
 
+def test_weights_must_be_nonnegative():
+    # with w < 0 the optimum -3 takes all three, but the bound assumes w >= 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_min_cover([0b011, 0b110, 0b101], [-1, -1, -1])
+
+
 @st.composite
 def cover_instances(draw):
     n = draw(st.integers(min_value=0, max_value=8))
@@ -58,6 +64,22 @@ def subset_oracle(masks, weights):
             if best is None or key < best:
                 best = key
     return best
+
+
+def test_search_improves_on_a_heavier_greedy_cover():
+    # greedy takes 0 (1 per 2 new), then 1 (ties 3 at 1 per new, lower
+    # index), then 2 for requirement 3: {0, 1, 2} weighs 4; {0, 3} weighs 3
+    masks, weights = [0b0101, 0b0110, 0b1101, 0b1011], [1, 1, 2, 2]
+    assert subset_oracle(masks, weights) == (3, (0, 3))
+    assert solve_min_cover(masks, weights) == (3, 0b1001)
+
+
+def test_search_replaces_a_tying_greedy_cover_that_sorts_later():
+    # greedy takes 1 (1 per 2 new), then 2: {1, 2} weighs the optimum 2,
+    # but {0} weighs 2 as well and sorts first
+    masks, weights = [0b111, 0b011, 0b100], [2, 1, 1]
+    assert subset_oracle(masks, weights) == (2, (0,))
+    assert solve_min_cover(masks, weights) == (2, 0b001)
 
 
 @given(cover_instances())
