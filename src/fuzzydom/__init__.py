@@ -66,7 +66,6 @@ from .alpha import (
 )
 from .harness import (
     CheckResult,
-    ForcedTheoremViolation,
     GenParams,
     TheoremReport,
     check_theorem,
@@ -95,7 +94,6 @@ __all__ = [
     "CheckResult",
     "DominationResult",
     "FileFormatError",
-    "ForcedTheoremViolation",
     "FuzzyGraph",
     "GenParams",
     "GraphError",

@@ -17,9 +17,10 @@ alpha scales only the right-hand-side column, so every tableau entry of
 that column at level alpha is alpha times its value at level 1, and the
 other columns and the reduced costs do not depend on it. Every ratio
 test and every Bland choice comes out the same, the solve ends on the same
-basis, and x(alpha) = alpha * x(1). build_lp is where the LP path coerces
-alpha to a Fraction, once, after checking that it is an int or a Fraction;
-the returned function carries lp.alpha. brute_force_lp_min is an
+basis, and x(alpha) = alpha * x(1). The LpInstance constructor is where
+the LP path coerces alpha to a Fraction, once, after checking that it is
+an int or a Fraction, and where it refuses a mode other than open or
+closed; the returned function carries lp.alpha. brute_force_lp_min is an
 independent cross-check: it enumerates every square subsystem of active
 constraints at level alpha, solves each by fraction-free integer
 elimination, and takes the best feasible corner. It shares no code with
@@ -60,8 +61,12 @@ class LpInstance:
     mode: Mode
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _level(self.alpha))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.mode not in ("open", "closed"):
+            raise ValueError(
+                f"mode must be 'open' or 'closed', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,7 @@ def build_lp(g: FuzzyGraph, alpha: int | Fraction, mode: Mode) -> LpInstance:
         masks = [m | 1 << i for i, m in enumerate(masks)]
     columns = range(len(g.vertices))
     rows = tuple(tuple(j for j in columns if m >> j & 1) for m in masks)
-    return LpInstance(vertex_ids=g.vertices, rows=rows,
-                      alpha=_level(alpha), mode=mode)
+    return LpInstance(vertex_ids=g.vertices, rows=rows, alpha=alpha, mode=mode)
 
 
 def _solve_to_function(g: FuzzyGraph, alpha: Fraction,

@@ -41,6 +41,9 @@ _GEN_PARAMS_KEYS = {"vertices": ("vertex_count", int),
                     "edge-prob": ("edge_probability", parse_weight),
                     "effective-prob": ("effective_probability", parse_weight),
                     "grid": ("sigma_grid", int)}
+# GenParams defaults shared by check's --*-params and gen's options
+_GEN_DEFAULTS = {"edge_probability": Fraction(1, 2),
+                 "effective_probability": Fraction(1, 2), "sigma_grid": 10}
 
 
 def _gen_params_arg(text: str) -> dict:
@@ -48,8 +51,7 @@ def _gen_params_arg(text: str) -> dict:
 
     Returns GenParams keyword arguments for everything but the seed.
     """
-    fields = {"vertex_count": None, "edge_probability": Fraction(1, 2),
-              "effective_probability": Fraction(1, 2), "sigma_grid": 10}
+    fields = {"vertex_count": None, **_GEN_DEFAULTS}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -254,9 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a seeded random graph")
     p.add_argument("--out", required=True)
     p.add_argument("--vertices", required=True, type=int)
-    p.add_argument("--edge-prob", type=_weight_arg, default=Fraction(1, 2))
-    p.add_argument("--effective-prob", type=_weight_arg, default=Fraction(1, 2))
-    p.add_argument("--grid", type=int, default=10)
+    p.add_argument("--edge-prob", type=_weight_arg,
+                   default=_GEN_DEFAULTS["edge_probability"])
+    p.add_argument("--effective-prob", type=_weight_arg,
+                   default=_GEN_DEFAULTS["effective_probability"])
+    p.add_argument("--grid", type=int, default=_GEN_DEFAULTS["sigma_grid"])
     p.add_argument("--seed", required=True, type=int)
     p.set_defaults(fn=_cmd_gen)
 

@@ -9,7 +9,8 @@ The checkers fall into two classes:
 
 * FORCED claims (T1, T2a, T3, T6, T7, T12): their constructions are sound
   under the implemented definitions, so a violation can only mean a bug in
-  this package. The corpus runner treats any such violation as fatal.
+  this package. The corpus runner records such a violation like any
+  other, and fuzzydom check exits 1 when a forced claim has one.
 * hypothesis claims (T2b, T4a, T4b, T5, T8, T9, T10, T11): converses and
   proof constructions whose stated arguments leave gaps. Counterexamples
   are expected, reported, shrunk to small instances, and must replay
@@ -543,30 +544,18 @@ class TheoremReport:
     wall_time_ms: int = 0
 
 
-class ForcedTheoremViolation(AssertionError):
-    """A mathematically forced claim failed: the implementation is buggy."""
-
-    def __init__(self, theorem_id: str, counterexample: dict):
-        self.theorem_id = theorem_id
-        self.counterexample = counterexample
-        super().__init__(
-            f"forced claim {theorem_id} violated; this is an implementation "
-            f"bug, not a property of the claim: {counterexample}")
-
-
 def run_corpus(
     pairs: Sequence[tuple[GenParams, GenParams]],
     theorem_ids: Optional[Sequence[str]] = None,
     alpha: Optional[Fraction] = None,
-    fail_on_forced: bool = False,
 ) -> list[TheoremReport]:
     """Check the requested claims over generated pairs and aggregate reports.
 
-    Reports come back in registry order. Violations of hypothesis claims are
-    shrunk and recorded (up to MAX_STORED_COUNTEREXAMPLES per claim).
-    Violations of forced claims raise ForcedTheoremViolation when
-    fail_on_forced is set; otherwise they are recorded like any
-    counterexample so the caller can inspect the evidence.
+    Reports come back in registry order. Every violation, of a forced claim
+    or a hypothesis claim alike, is counted, and the first
+    MAX_STORED_COUNTEREXAMPLES per claim are shrunk and recorded. A forced
+    claim with status counterexample-found is an implementation bug; the
+    caller decides what to do with it (fuzzydom check exits 1).
     """
     if theorem_ids is None:
         selected = list(THEOREM_IDS)
@@ -597,21 +586,15 @@ def run_corpus(
                 applicable[tid] += 1
             if result.status == "violated":
                 violations[tid] += 1
-                record = None
-                room = len(stored[tid]) < MAX_STORED_COUNTEREXAMPLES
-                if REGISTRY[tid].forced or room:
+                if len(stored[tid]) < MAX_STORED_COUNTEREXAMPLES:
                     small_g, small_h = shrink(g, h, tid, alpha)
                     verdict = check_theorem(tid, small_g, small_h, alpha)
                     assert verdict.status == "violated"
-                    record = {
+                    stored[tid].append({
                         "g": fileformat.document_of(small_g),
                         "h": fileformat.document_of(small_h),
                         "witness": verdict.witness,
-                    }
-                if REGISTRY[tid].forced and fail_on_forced:
-                    raise ForcedTheoremViolation(tid, record)
-                if record is not None and room:
-                    stored[tid].append(record)
+                    })
             elapsed[tid] += time.perf_counter() - start
 
     reports = []

@@ -177,8 +177,7 @@ def _corpus_pairs() -> list[tuple[GenParams, GenParams]]:
 
 def test_criterion_5_forced_claims_hold(capsys):
     start = time.perf_counter()
-    reports = run_corpus(_corpus_pairs(), theorem_ids=sorted(FORCED_IDS),
-                         fail_on_forced=True)
+    reports = run_corpus(_corpus_pairs(), theorem_ids=sorted(FORCED_IDS))
     elapsed = time.perf_counter() - start
     bad = [r.theorem_id for r in reports if r.status == "counterexample-found"]
     applicable = {r.theorem_id: r.instances_checked for r in reports}
@@ -191,14 +190,15 @@ def test_criterion_5_forced_claims_hold(capsys):
 
 
 def test_criterion_6_counterexamples_replay(capsys):
-    reports = run_corpus(_corpus_pairs(), fail_on_forced=True)
+    reports = run_corpus(_corpus_pairs())
     js = reports_to_json(reports)
     reported_ids = {e["theorem_id"] for e in js}
     stored = sum(len(e["counterexamples"]) for e in js)
     problems = replay_report(js)
     found = [e["theorem_id"] for e in js if e["status"] == "counterexample-found"]
     ok = (set(HYPOTHESIS_IDS) <= reported_ids
-          and stored > 0 and not problems and len(found) > 0)
+          and stored > 0 and not problems and len(found) > 0
+          and not set(FORCED_IDS) & set(found))
     _report(capsys, 6, ok,
             f"all hypothesis claims reported; {stored} stored "
             f"counterexamples ({', '.join(found)}) all replay")

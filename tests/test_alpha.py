@@ -67,6 +67,16 @@ def test_alpha_must_be_positive(effective_k2):
         build_lp(effective_k2, F(0), "open")
 
 
+@pytest.mark.parametrize("values,message", [
+    ((F(1, 10),), "length mismatch"),
+    ((F(1, 10), F(-1, 10)), "nonnegative"),
+], ids=["length", "negative"])
+def test_alpha_function_refuses_bad_assignments(values, message):
+    with pytest.raises(ValueError, match=message):
+        AlphaFunction(vertex_ids=("u", "v"), values=values, alpha=F(1, 10),
+                      mode="open")
+
+
 def test_verify_reports_short_rows(effective_k2):
     # v's open row reads f(u) = 0.3 >= alpha, but u's row reads f(v) = 0.2
     f = AlphaFunction(vertex_ids=("u", "v"),
@@ -99,6 +109,12 @@ def test_proof_function_total_caps_fiber_mass(example_product):
 def test_lp_oracle_matches_simplex_on_fixture(p3_mixed):
     lp = build_lp(p3_mixed, F(3, 20), "closed")
     assert brute_force_lp_min(lp) == gamma_alpha(p3_mixed, F(3, 20)).weight
+
+
+def test_lp_oracle_on_the_empty_program():
+    empty = FuzzyGraph.build("empty", [], [])
+    assert brute_force_lp_min(build_lp(empty, F(1, 2), "open")) == 0
+    assert gamma_t_alpha(empty, F(1, 2)).weight == 0
 
 
 @given(graphs(max_vertices=5),

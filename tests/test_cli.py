@@ -230,6 +230,23 @@ def test_check_rejects_unknown_theorem(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("params,message", [
+    ("vertices", "expected key=value in params, got 'vertices'"),
+    ("vertices=2,size=3", "unknown params key 'size'"),
+    ("vertices=x", "vertices: invalid literal for int()"),
+    ("vertices=2,edge-prob=2", "edge-prob: '2' is outside [0, 1]"),
+    ("edge-prob=0.5,grid=2", "params must set vertices=N"),
+], ids=["no-equals", "unknown-key", "bad-int", "bad-weight", "no-vertices"])
+def test_check_params_usage_errors(tmp_path, capsys, params, message):
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--left-params", params, "--right-params", "vertices=2",
+              "--seeds", "1", "-o", str(report)])
+    assert info.value.code == 2
+    assert f"argument --left-params: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_check_rejects_a_seed_count_below_one(tmp_path, capsys, count):
     report = tmp_path / "r.json"

@@ -22,7 +22,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzydom.alpha import build_lp, gamma_alpha, gamma_t_alpha, proof_function_total
+from fuzzydom._cover import solve_min_cover
+from fuzzydom.alpha import (LpInstance, build_lp, gamma_alpha, gamma_t_alpha,
+                            proof_function_total)
 from fuzzydom.cli import main
 from fuzzydom.core import FuzzyGraph, GraphError, ProductTag, _effective_adjacency
 from fuzzydom.fileformat import FileFormatError, document_of, graph_of_document
@@ -187,10 +189,24 @@ _K2 = FuzzyGraph.build("k2", [("u", "0.2"), ("v", "0.2")], [("u", "v", "0.2")])
 def test_alpha_must_be_an_int_or_a_fraction(alpha):
     calls = (lambda: build_lp(_K2, alpha, "open"), lambda: gamma_alpha(_K2, alpha),
              lambda: gamma_t_alpha(_K2, alpha),
-             lambda: proof_function_total(_K2, (), alpha))
+             lambda: proof_function_total(_K2, (), alpha),
+             lambda: LpInstance(_K2.vertices, ((1,), (0,)), alpha, "open"))
     for call in calls:
         with pytest.raises(TypeError, match=f"got {type(alpha).__name__}$"):
             call()
+
+
+@pytest.mark.parametrize("mode", ["Closed", "total", ""])
+def test_lp_mode_must_be_open_or_closed(mode):
+    for call in (lambda: build_lp(_K2, 1, mode),
+                 lambda: LpInstance(_K2.vertices, ((1,), (0,)), 1, mode)):
+        with pytest.raises(ValueError, match="mode must be 'open' or 'closed'"):
+            call()
+
+
+def test_cover_kernel_refuses_mismatched_lengths():
+    with pytest.raises(ValueError, match="must have equal length"):
+        solve_min_cover([1], [1, 2])
 
 
 def test_alpha_may_be_an_int():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from fuzzydom.cli import main
 from fuzzydom.core import FuzzyGraph, validate
 from fuzzydom.harness import (
     FORCED_IDS,
@@ -15,7 +16,6 @@ from fuzzydom.harness import (
     REGISTRY,
     THEOREM_IDS,
     VALID_GRIDS,
-    ForcedTheoremViolation,
     GenParams,
     check_theorem,
     gen_random,
@@ -201,7 +201,7 @@ def test_run_corpus_reports_are_deterministic():
 def test_run_corpus_counterexamples_replay():
     pairs = [(params(2 * i, n=1 + i % 4), params(2 * i + 1, n=1 + (i // 4) % 4))
              for i in range(120)]
-    reports = run_corpus(pairs, fail_on_forced=True)
+    reports = run_corpus(pairs)
     js = reports_to_json(reports)
     found = {r["theorem_id"]: r for r in js if r["status"] == "counterexample-found"}
     assert found, "expected at least one hypothesis claim to fail on this corpus"
@@ -224,20 +224,42 @@ def test_counterexamples_at_a_non_decimal_alpha_replay():
     assert replay_report(js) == []
 
 
-def test_forced_violation_raises_when_requested(monkeypatch):
+def test_forced_violation_is_recorded_and_fails_check(monkeypatch, tmp_path,
+                                                     capsys):
     import fuzzydom.harness as harness
 
     broken = harness.TheoremSpec(
         theorem_id="T1", quote_anchor=REGISTRY["T1"].quote_anchor, forced=True,
         check=lambda ctx: harness.CheckResult("violated", {"fake": True}))
     monkeypatch.setitem(harness.REGISTRY, "T1", broken)
-    with pytest.raises(ForcedTheoremViolation):
-        run_corpus([(params(0, n=2), params(1, n=2))],
-                   theorem_ids=["T1"], fail_on_forced=True)
-    # without the flag the violation is recorded, not raised
-    reports = run_corpus([(params(0, n=2), params(1, n=2))],
-                         theorem_ids=["T1"], fail_on_forced=False)
-    assert reports[0].status == "counterexample-found"
+    calls = []
+
+    def counting_shrink(*args):
+        calls.append(args)
+        return shrink(*args)
+
+    monkeypatch.setattr(harness, "shrink", counting_shrink)
+    # the same 12 pairs as check's --seeds 12 on vertices=2 factors
+    pairs = [(params(2 * i, n=2), params(2 * i + 1, n=2)) for i in range(12)]
+    [report] = reports_to_json(run_corpus(pairs, theorem_ids=["T1"]))
+    assert report["status"] == "counterexample-found"
+    assert report["instances_checked"] == 12
+    assert len(report["counterexamples"]) == MAX_STORED_COUNTEREXAMPLES
+    assert replay_report([report]) == []
+    # only the violations that are stored get shrunk
+    assert len(calls) == MAX_STORED_COUNTEREXAMPLES
+
+    out = tmp_path / "check.json"
+    code = main(["check", "--left-params", "vertices=2", "--right-params",
+                 "vertices=2", "--seeds", "12", "--theorems", "T1",
+                 "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "forced claim(s) violated: T1\n"
+    assert "T1: counterexample-found (12 instances, 10 counterexamples stored)" \
+        in captured.out
+    assert json.loads(out.read_text())[0]["counterexamples"] \
+        == report["counterexamples"]
 
 
 def test_save_report_writes_json_array(tmp_path):

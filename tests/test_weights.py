@@ -68,6 +68,8 @@ def test_format_minimal_digits(value, text):
 
 def test_format_falls_back_to_fraction_text():
     assert format_weight(Fraction(1, 3)) == "1/3"
+    # negative values too; the decimal path would print -1/2 as "-1.5"
+    assert format_weight(Fraction(-1, 2)) == "-1/2"
 
 
 @pytest.mark.parametrize("value,expected", [
