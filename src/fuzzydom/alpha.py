@@ -17,10 +17,11 @@ alpha scales only the right-hand-side column, so every tableau entry of
 that column at level alpha is alpha times its value at level 1, and the
 other columns and the reduced costs do not depend on it. Every ratio
 test and every Bland choice comes out the same, the solve ends on the same
-basis, and x(alpha) = alpha * x(1). The LpInstance constructor is where
-the LP path coerces alpha to a Fraction, once, after checking that it is
-an int or a Fraction, and where it refuses a mode other than open or
-closed; the returned function carries lp.alpha. brute_force_lp_min is an
+basis, and x(alpha) = alpha * x(1). The LpInstance and AlphaFunction
+constructors coerce alpha to a Fraction after checking that it is an int
+or a Fraction above 0, and refuse a mode other than open or closed;
+AlphaFunction also takes only int or Fraction values. The function the
+LP path returns carries lp.alpha. brute_force_lp_min is an
 independent cross-check: it enumerates every square subsystem of active
 constraints at level alpha, solves each by fraction-free integer
 elimination, and takes the best feasible corner. It shares no code with
@@ -62,11 +63,7 @@ class LpInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _level(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.mode not in ("open", "closed"):
-            raise ValueError(
-                f"mode must be 'open' or 'closed', got {self.mode!r}")
+        _require_mode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,14 @@ class AlphaFunction:
     mode: Mode
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        object.__setattr__(self, "alpha", _level(self.alpha))
+        _require_mode(self.mode)
         if len(self.vertex_ids) != len(self.values):
             raise ValueError("assignment length mismatch")
+        for v in self.values:
+            if type(v) not in (int, Fraction):
+                raise TypeError("assignment values must be ints or "
+                                f"Fractions, got {type(v).__name__}")
         if any(v < 0 for v in self.values):
             raise ValueError("assignment values must be nonnegative")
 
@@ -92,11 +93,19 @@ class AlphaFunction:
 
 
 def _level(alpha: int | Fraction) -> Fraction:
-    """alpha as a Fraction; TypeError for anything but an int or a Fraction."""
+    """alpha as a Fraction; TypeError for anything but an int or a Fraction,
+    ValueError unless it is above 0."""
     if type(alpha) not in (int, Fraction):
         raise TypeError(
             f"alpha must be an int or a Fraction, got {type(alpha).__name__}")
-    return Fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return alpha if type(alpha) is Fraction else Fraction(alpha)
+
+
+def _require_mode(mode: Mode) -> None:
+    if mode not in ("open", "closed"):
+        raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
 
 
 def build_lp(g: FuzzyGraph, alpha: int | Fraction, mode: Mode) -> LpInstance:
@@ -161,8 +170,6 @@ def proof_function_total(product: FuzzyGraph, s: Iterable[str],
     theorem harness) to test, no guarantee is made here.
     """
     alpha = _level(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     pairs = _product_pairs(product)
     chosen = {product.vertices[product.index(v)] for v in s}
     cap = 2 * alpha

@@ -3,7 +3,10 @@
 Fourteen checkers (T1 through T12, with the two-direction claims split
 into a/b) each take a factor pair, decide whether the claim's hypotheses
 apply, and return holds / violated / not-applicable. Violations carry a
-JSON-ready witness with every number needed to replay the verdict.
+JSON-ready witness with every number needed to replay the verdict. A
+checker asks a solver only for a value it reports or compares: whether a
+total dominating set or an effective product edge exists is read from
+effective adjacency (has_total_dominating, effective_degree_counts).
 
 The checkers fall into two classes:
 
@@ -18,8 +21,8 @@ The checkers fall into two classes:
 
 alpha for the alpha-level claims defaults to the minimum sigma across both
 factors, the largest level their "sigma >= alpha" hypothesis admits; a
-caller-supplied override is threaded through checking, shrinking, and
-replay (each witness records the alpha it used).
+caller may override it with an int or a Fraction above 0, which checking,
+shrinking, and replay all use (each witness records the alpha it used).
 
 Determinism contract: a GenParams value fully determines its graph, and a
 corpus configuration fully determines every report byte except wall_time_ms.
@@ -37,6 +40,7 @@ from typing import Callable, Literal, Optional, Sequence
 from . import fileformat
 from .alpha import (
     AlphaFunction,
+    _level,
     gamma_alpha,
     gamma_t_alpha,
     proof_function_total,
@@ -91,12 +95,21 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
+        for label in ("vertex_count", "sigma_grid", "seed"):
+            if type(getattr(self, label)) is not int:  # a bool is refused too
+                raise TypeError(f"{label} must be an int, got "
+                                f"{type(getattr(self, label)).__name__}")
         if self.vertex_count < 1:
             raise ValueError("vertex_count must be at least 1")
-        for label, p in (("edge_probability", self.edge_probability),
-                         ("effective_probability", self.effective_probability)):
+        for label in ("edge_probability", "effective_probability"):
+            p = getattr(self, label)
+            if type(p) not in (int, Fraction):
+                raise TypeError(f"{label} must be an int or a Fraction, "
+                                f"got {type(p).__name__}")
             if not 0 <= p <= 1:
                 raise ValueError(f"{label} must lie in [0, 1]")
+            if type(p) is int:
+                object.__setattr__(self, label, Fraction(p))
         if self.sigma_grid not in VALID_GRIDS:
             raise ValueError(
                 f"sigma_grid must be one of {VALID_GRIDS} so generated "
@@ -149,14 +162,19 @@ class _PairContext:
     """Lazy shared computations for one (g, h) pair.
 
     Checkers pull product graphs, solver results, and LP optima from here
-    so a corpus run computes each at most once per pair.
+    so a corpus run computes each at most once per pair. alpha is the
+    alpha claims' level, None when no positive level applies.
     """
 
     def __init__(self, g: FuzzyGraph, h: FuzzyGraph,
                  alpha_override: Optional[Fraction] = None):
         self.g = g
         self.h = h
-        self._alpha_override = alpha_override
+        if alpha_override is not None:
+            self.alpha: Optional[Fraction] = _level(alpha_override)
+        else:
+            low = min(g.sigma + h.sigma, default=0)
+            self.alpha = low if low > 0 else None
 
     @cached_property
     def product(self) -> FuzzyGraph:
@@ -167,14 +185,6 @@ class _PairContext:
         return fuzzy_order(self.product)
 
     @cached_property
-    def tot_left(self) -> DominationResult:
-        return min_total_dominating(self.g)
-
-    @cached_property
-    def tot_right(self) -> DominationResult:
-        return min_total_dominating(self.h)
-
-    @cached_property
     def tot_product(self) -> DominationResult:
         return min_total_dominating(self.product)
 
@@ -183,22 +193,12 @@ class _PairContext:
         return min_dominating(self.product)
 
     @cached_property
-    def alpha(self) -> Optional[Fraction]:
-        """Level for the alpha claims; None when no positive level applies."""
-        if self._alpha_override is not None:
-            return self._alpha_override if self._alpha_override > 0 else None
-        sigmas = self.g.sigma + self.h.sigma
-        if not sigmas:
-            return None
-        low = min(sigmas)
-        return low if low > 0 else None
-
-    def sigma_at_least_alpha(self) -> bool:
+    def alpha_hypotheses(self) -> bool:
+        """T9-T11's hypotheses: nontrivial connected factors, sigma >= alpha."""
         a = self.alpha
-        return a is not None and all(s >= a for s in self.g.sigma + self.h.sigma)
-
-    def nontrivial_connected_factors(self) -> bool:
-        return (len(self.g.vertices) >= 2 and len(self.h.vertices) >= 2
+        return (a is not None and len(self.g.vertices) >= 2
+                and len(self.h.vertices) >= 2
+                and all(s >= a for s in self.g.sigma + self.h.sigma)
                 and is_crisp_connected(self.g) and is_crisp_connected(self.h))
 
     @cached_property
@@ -257,20 +257,22 @@ def _check_t2b(ctx: _PairContext) -> CheckResult:
 
 
 def _check_t3(ctx: _PairContext) -> CheckResult:
-    if not (ctx.tot_left.found and ctx.tot_right.found):
+    if not (has_total_dominating(ctx.g) and has_total_dominating(ctx.h)):
         return CheckResult("not-applicable")
-    d1 = ctx.tot_left.witness
-    d2 = ctx.tot_right.witness
+    left = min_total_dominating(ctx.g)
+    right = min_total_dominating(ctx.h)
+    d1 = left.witness
+    d2 = right.witness
     sep = ctx.product.product_tag.separator
     cross = [f"{a}{sep}{b}" for a in d1 for b in d2]
     cross_ok = is_total_dominating(ctx.product, cross)
-    bound = min(len(d2) * ctx.tot_left.optimum, len(d1) * ctx.tot_right.optimum)
+    bound = min(len(d2) * left.optimum, len(d1) * right.optimum)
     product_ok = ctx.tot_product.found and ctx.tot_product.optimum <= bound
     if cross_ok and product_ok:
         return CheckResult("holds")
     return CheckResult("violated", {
-        "nu_t_left": format_weight(ctx.tot_left.optimum),
-        "nu_t_right": format_weight(ctx.tot_right.optimum),
+        "nu_t_left": format_weight(left.optimum),
+        "nu_t_right": format_weight(right.optimum),
         "left_witness_size": len(d1),
         "right_witness_size": len(d2),
         "bound": format_weight(bound),
@@ -337,9 +339,8 @@ def _check_t6(ctx: _PairContext) -> CheckResult:
 
 
 def _check_t7(ctx: _PairContext) -> CheckResult:
-    if len(ctx.g.vertices) < 2 or len(ctx.h.vertices) < 2:
-        return CheckResult("not-applicable")
-    if not is_complete_product(ctx.product):
+    if (len(ctx.g.vertices) < 2 or len(ctx.h.vertices) < 2
+            or not is_complete_product(ctx.product)):
         return CheckResult("not-applicable")
     for side, factor_ids, fiber_fn in (("left", ctx.g.vertices, fiber_left),
                                        ("right", ctx.h.vertices, fiber_right)):
@@ -357,7 +358,7 @@ def _check_t7(ctx: _PairContext) -> CheckResult:
 
 def _check_t8(ctx: _PairContext) -> CheckResult:
     value_matches = ctx.dom_product.optimum == ctx.order
-    no_effective = len(effective_edges(ctx.product)) == 0
+    no_effective = not any(effective_degree_counts(ctx.product))
     if value_matches == no_effective:
         return CheckResult("holds")
     return CheckResult("violated", {
@@ -387,24 +388,22 @@ def _alpha_bound_claim(ctx: _PairContext, nu: Fraction,
 
 def _check_t9(ctx: _PairContext) -> CheckResult:
     # a total dominating set of each factor makes its open program feasible
-    if not (ctx.nontrivial_connected_factors() and ctx.sigma_at_least_alpha()
-            and ctx.tot_left.found and ctx.tot_right.found
-            and ctx.tot_product.found):
+    if not (ctx.alpha_hypotheses and has_total_dominating(ctx.g)
+            and has_total_dominating(ctx.h) and ctx.tot_product.found):
         return CheckResult("not-applicable")
     return _alpha_bound_claim(ctx, ctx.tot_product.optimum, gamma_t_alpha,
                               "nu_t_product", "gamma_t_2alpha")
 
 
 def _check_t10(ctx: _PairContext) -> CheckResult:
-    if not (ctx.nontrivial_connected_factors() and ctx.sigma_at_least_alpha()):
+    if not ctx.alpha_hypotheses:
         return CheckResult("not-applicable")
     return _alpha_bound_claim(ctx, ctx.dom_product.optimum, gamma_alpha,
                               "nu_product", "gamma_2alpha")
 
 
 def _check_t11(ctx: _PairContext) -> CheckResult:
-    if not (ctx.nontrivial_connected_factors() and ctx.sigma_at_least_alpha()
-            and ctx.tot_product.found):
+    if not (ctx.alpha_hypotheses and ctx.tot_product.found):
         return CheckResult("not-applicable")
     f = ctx.proof_function
     violated_at = verify_alpha_function(ctx.g, f)

@@ -6,8 +6,9 @@ takes any JSON value and either makes a graph or raises FileFormatError, and
 the CLI turns that into exit status 0 or 1. Nothing else escapes: no
 TypeError from an unhashable field, no AttributeError from a weight that is
 not a Fraction, no KeyError from an unknown endpoint. The alpha level of
-the LP path is an int or a Fraction; anything else is a TypeError naming
-its type, not a level rounded from a float.
+the LP path, and an AlphaFunction's level and values, are ints or
+Fractions; anything else is a TypeError naming its type, not a level
+rounded from a float.
 
 The strategies start from well-formed values and corrupt a few of them, so
 that both outcomes of each contract occur often.
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzydom._cover import solve_min_cover
-from fuzzydom.alpha import (LpInstance, build_lp, gamma_alpha, gamma_t_alpha,
-                            proof_function_total)
+from fuzzydom.alpha import (AlphaFunction, LpInstance, build_lp, gamma_alpha,
+                            gamma_t_alpha, proof_function_total)
 from fuzzydom.cli import main
 from fuzzydom.core import FuzzyGraph, GraphError, ProductTag, _effective_adjacency
 from fuzzydom.fileformat import FileFormatError, document_of, graph_of_document
@@ -190,7 +191,9 @@ def test_alpha_must_be_an_int_or_a_fraction(alpha):
     calls = (lambda: build_lp(_K2, alpha, "open"), lambda: gamma_alpha(_K2, alpha),
              lambda: gamma_t_alpha(_K2, alpha),
              lambda: proof_function_total(_K2, (), alpha),
-             lambda: LpInstance(_K2.vertices, ((1,), (0,)), alpha, "open"))
+             lambda: LpInstance(_K2.vertices, ((1,), (0,)), alpha, "open"),
+             lambda: AlphaFunction(_K2.vertices, (0, 0), alpha, "open"),
+             lambda: AlphaFunction(_K2.vertices, (alpha, 0), 1, "open"))
     for call in calls:
         with pytest.raises(TypeError, match=f"got {type(alpha).__name__}$"):
             call()
@@ -199,7 +202,8 @@ def test_alpha_must_be_an_int_or_a_fraction(alpha):
 @pytest.mark.parametrize("mode", ["Closed", "total", ""])
 def test_lp_mode_must_be_open_or_closed(mode):
     for call in (lambda: build_lp(_K2, 1, mode),
-                 lambda: LpInstance(_K2.vertices, ((1,), (0,)), 1, mode)):
+                 lambda: LpInstance(_K2.vertices, ((1,), (0,)), 1, mode),
+                 lambda: AlphaFunction(_K2.vertices, (0, 0), 1, mode)):
         with pytest.raises(ValueError, match="mode must be 'open' or 'closed'"):
             call()
 

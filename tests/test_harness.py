@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from fuzzydom import harness
 from fuzzydom.cli import main
 from fuzzydom.core import FuzzyGraph, validate
 from fuzzydom.harness import (
@@ -78,6 +79,21 @@ def test_gen_rejects_bad_params():
     with pytest.raises(ValueError):
         GenParams(vertex_count=1, edge_probability=F(1, 2),
                   effective_probability=F(1, 2), sigma_grid=10, seed=2**64)
+    for fields, message in (
+            ((4, 0.5, F(1, 2), 10, 0), "edge_probability must be an int or a "
+                                       "Fraction, got float"),
+            ((4, F(1, 2), "1/2", 10, 0), "effective_probability .* got str"),
+            ((4, F(1, 2), True, 10, 0), "effective_probability .* got bool"),
+            ((4.0, F(1, 2), F(1, 2), 10, 0), "vertex_count must be an int, "
+                                             "got float"),
+            ((4, F(1, 2), F(1, 2), True, 0), "sigma_grid .* got bool"),
+            ((4, F(1, 2), F(1, 2), 10, 1.5), "seed .* got float")):
+        with pytest.raises(TypeError, match=message):
+            GenParams(*fields)
+    # an int probability is stored as a Fraction and draws what it equals
+    whole = params(seed=5, n=5, edge=1, eff=0)
+    assert type(whole.edge_probability) is type(whole.effective_probability) is F
+    assert gen_random(whole) == gen_random(params(seed=5, n=5, edge=F(1), eff=F(0)))
 
 
 @given(gen_params_strategy())
@@ -152,6 +168,48 @@ def test_alpha_default_is_min_sigma(k2_low, k2_even):
 def test_alpha_override_threads_through(k2_low, k2_even):
     result = check_theorem("T9", k2_low, k2_even, alpha=F(1, 10))
     assert result.status == "holds"
+    assert check_theorem("T9", k2_low, k2_even, alpha=1).status == "not-applicable"
+
+
+@pytest.mark.parametrize("alpha,error,message", [
+    (0.5, TypeError, "got float$"), (True, TypeError, "got bool$"),
+    (F(0), ValueError, "alpha must be positive"),
+    (-1, ValueError, "alpha must be positive")],
+    ids=["float", "bool", "zero", "negative"])
+def test_alpha_override_must_be_a_positive_int_or_fraction(k2_low, k2_even,
+                                                           alpha, error, message):
+    with pytest.raises(error, match=message):
+        check_theorem("T1", k2_low, k2_even, alpha=alpha)
+    with pytest.raises(error, match=message):
+        run_corpus([(params(seed=0), params(seed=1))], alpha=alpha)
+
+
+def test_checkers_solve_factors_only_for_t3_values(monkeypatch, p3_mixed,
+                                                    k2_even):
+    # p3_mixed is connected, but g1 has no effective neighbor, so neither
+    # factor program of T3 or T9 needs solving to know they do not apply
+    solved, connectivity = [], []
+    solve = harness.min_total_dominating
+    connected = harness.is_crisp_connected
+    monkeypatch.setattr(harness, "min_total_dominating",
+                        lambda g: solved.append(g) or solve(g))
+    monkeypatch.setattr(harness, "is_crisp_connected",
+                        lambda g: connectivity.append(g) or connected(g))
+    for tid in ("T3", "T9"):
+        assert check_theorem(tid, p3_mixed, k2_even).status == "not-applicable"
+    assert not [g for g in solved if g in (p3_mixed, k2_even)]
+
+    # complete factors with every edge effective: T9-T11 apply, nothing is
+    # violated, so no shrink builds further pairs
+    pairs = [(params(2 * i, edge=F(1), eff=F(1)),
+              params(2 * i + 1, edge=F(1), eff=F(1))) for i in range(3)]
+    connectivity.clear()
+    reports = run_corpus(pairs)
+    assert not any(r.counterexamples for r in reports)
+    assert {r.theorem_id: r.instances_checked for r in reports
+            if r.theorem_id in ("T9", "T10", "T11")} == dict.fromkeys(
+                ("T9", "T10", "T11"), 3)
+    assert len(connectivity) <= 2 * len(pairs)
 
 
 def test_shrink_requires_violation(k2_low, k2_even):
