@@ -15,60 +15,70 @@ to the lowest index. The child for its k-th allowed coverer, in index
 order, picks that coverer and bans coverers 1..k-1 in its subtree, so each
 cover is enumerated once, not once per order of its picks. A requirement
 with a single coverer puts it in every cover, so the root starts with all
-such picks.
+such picks, and with every zero-weight vertex (see below).
 
 Every uncovered requirement keeps an allowed coverer. At the root each
 has one, or the search returns None before it starts. If the branch
 requirement has k allowed coverers, the fewest of any, its j-th child bans
 only j-1 of them, so every other uncovered requirement keeps at least
 k - (j - 1) >= 1. So every node that is not a cover has a child, and a
-node is only ever dropped by one of the two cuts below.
+node is only ever dropped by one of the cuts below.
+
+Keys make the optimum unique. The contract returns, among all optimal
+covers, the one whose sorted index tuple is lexicographically smallest.
+The search instead minimises one integer key per cover, in which no two
+covers tie. For w(u) > 0, key(u) = w(u)*2^n - 2^(n-1-u), so
+
+    key(F) = 2^n * w(F) - sum over u in F of 2^(n-1-u).
+
+The subtracted sum is below 2^n and differs for every set, so keys order
+covers by weight first. Among covers of equal weight the larger sum comes
+first, which is the lexicographically smaller tuple: at the lowest index
+where two sets differ, the one holding it sorts first, unless the other
+is a prefix of it, and with positive weights a prefix and its extension
+never weigh the same. Every key is positive, and distinct.
+
+Zero weights: every zero-weight vertex is a root pick with key 0, so
+every vertex the search can pick has a positive key, and its optimum F'
+holds every zero-weight vertex. Covers that hold them all differ only in
+positive-weight vertices, so F' is unique by the argument above. The
+contract's answer L is the shortest index-order prefix of F' that covers,
+and it weighs what F' weighs. Let Z be the zero-weight vertices. L holds
+every member of Z below max L (adding one keeps the weight and sorts
+first), so L and L | Z agree up to max L. L | Z is an optimal cover that
+holds Z, and among those F' has the largest sum, so at the lowest index
+where F' and L | Z differ F' holds it; if that index were below max L, F'
+would be an optimal cover sorting before L. So F' agrees with L up to
+max L: L is a covering prefix of F', and a shorter covering prefix would
+weigh no more than L and sort before it.
 
 Incumbent and cuts: the search never runs without a cover in hand. After
 the root's picks, Chvatal's greedy rule builds one: repeatedly add the
-vertex of least weight per newly covered requirement (compared by
+vertex of least key per newly covered requirement (compared by
 cross-multiplying, so in integers), ties to the lowest index. Every
-requirement has a coverer, so it ends at a cover, and its weight and plain
-mask are the first incumbent. From there two cuts apply from the first
-node: a node is pruned when its lower bound exceeds the incumbent, and a
-child is pushed only if its weight does not exceed the incumbent. A
-filtered coverer is still banned for its later siblings, as if its child
-had been pushed and then pruned.
+requirement has a coverer, so it ends at a cover, and its key and mask
+are the first incumbent. Since the optimum is unique, only a strictly
+smaller key can matter, and every cut is strict in key: a child is pushed
+only if its key is below the incumbent's, a node is pruned when a lower
+bound on what its completion adds reaches the gap to the incumbent, and a
+leaf replaces the incumbent only if its key is smaller. A filtered
+coverer is still banned for its later siblings, as if its child had been
+pushed and then pruned.
 
-Tie-break contract: among all optimal covers, return the one whose sorted
-index tuple is lexicographically smallest. Three facts keep that exact:
+Lower bounds (admissible), for the uncovered requirement set U:
 
-* the lexicographically smallest optimal cover L is never banned away:
-  the root's picks are in L, and from there follow L, taking at each node
-  L's lowest-index allowed coverer of the branch requirement (one exists,
-  since L covers it and nothing in L is banned). That child bans only
-  coverers below it, none of which is in L. The path ends at a cover C
-  inside L;
-* neither cut can remove a node of that path, because both are strict and
-  every incumbent is a real cover, so it weighs at least the optimum. Each
-  node on the path weighs at most w(C), which is the optimum (C is inside
-  L and is a cover), so the push-time filter keeps it; and its bound is at
-  most what C still costs below it, so the prune keeps it too. So
-  equal-weight alternatives are never cut off;
-* a zero-weight vertex can sit in an optimal cover without covering
-  anything new, and adding such a vertex below the cover's maximum index
-  makes the tuple lexicographically smaller. The search only enumerates
-  covers where every member covers something, so each candidate is
-  augmented with every zero-weight vertex below its maximum index before
-  comparison, which keeps its weight. L is the augmentation of the C
-  above: L minus C weighs nothing, L has no member above C's maximum
-  (dropping it would give a smaller prefix), and among covers with one
-  maximum the superset sorts first. The greedy incumbent is kept
-  unaugmented: if it ties the optimum, L sorts no later than it, so the
-  comparison at C's leaf replaces it unless it already is L.
-
-Lower bound (admissible): for the uncovered requirement set U, every
-completion that avoids the banned vertices pays at least the sum over v in
-U of the min over allowed coverers u of w(u)/|cover(u)&U|. No cover in a
-subtree uses a vertex banned there, so leaving banned coverers out keeps
-the bound below every cover the subtree can reach. Each term is scaled by
-the fixed power of two _SCALE and rounded down, which never raises it, so
-the strict prune stays admissible.
+* pick count: no vertex covers more than `most` members of U, so every
+  completion picks at least k = ceil(|U| / most) distinct allowed
+  vertices, each of which hits U (a pick covers the branch requirement,
+  which is uncovered). So the completion adds at least the k least keys
+  among allowed vertices that hit U. This bound is exact in integers and
+  is tried first.
+* shares: every completion that avoids the banned vertices adds at least
+  the sum over v in U of the min over allowed coverers u of
+  key(u)/|cover(u)&U|. No cover in a subtree uses a vertex banned there,
+  so leaving banned coverers out keeps the bound below every cover the
+  subtree can reach. Each term is scaled by the fixed power of two _SCALE
+  and rounded down, which never raises it.
 """
 
 from __future__ import annotations
@@ -76,27 +86,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 _SCALE = 1 << 32
-
-
-def lex_tuple_less(a: int, b: int) -> bool:
-    """Compare bitmasks as sorted ascending index tuples, lexicographically.
-
-    A strict prefix is smaller than its extension, so this is NOT plain
-    integer comparison of the masks.
-    """
-    while True:
-        if a == b:
-            return False
-        if a == 0:
-            return True
-        if b == 0:
-            return False
-        la = a & -a
-        lb = b & -b
-        if la != lb:
-            return la < lb
-        a ^= la
-        b ^= lb
 
 
 def solve_min_cover(
@@ -125,58 +114,75 @@ def solve_min_cover(
             low = m & -m
             coverers[low.bit_length() - 1].append(u)
             m ^= low
-    # a requirement's only coverer is in every cover: pick it at the root
-    forced = 0
+    # root picks: every zero-weight vertex, and each requirement's only
+    # coverer, which is in every cover
+    forced = sum(1 << u for u in range(n) if weights[u] == 0)
     for v in range(n):
         if len(coverers[v]) == 1:
             forced |= 1 << coverers[v][0]
         elif not coverers[v]:
             return None
-    root_weight = 0
+    # key(u) = w(u) * 2^n - 2^(n-1-u) for w(u) > 0 (module docstring); a
+    # zero-weight vertex is a root pick with key 0
+    keys = [(w << n) - (1 << (n - 1 - u)) if w else 0
+            for u, w in enumerate(weights)]
+    root_key = 0
     root_covered = 0
     for u in range(n):
         if forced >> u & 1:
-            root_weight += weights[u]
+            root_key += keys[u]
             root_covered |= cover_masks[u]
-    # share[u][hits]: w(u) * _SCALE / hits, rounded down
-    share = [[0, *map((w * _SCALE).__floordiv__, range(1, c.bit_count() + 1))]
-             for w, c in zip(weights, cover_masks)]
-    zero_mask = sum(1 << u for u in range(n) if weights[u] == 0)
+    # share[u][hits]: key(u) * _SCALE / hits, rounded down
+    share = [[0, *map((k * _SCALE).__floordiv__, range(1, c.bit_count() + 1))]
+             for k, c in zip(keys, cover_masks)]
+    # (cover mask, bit, key) of each vertex a completion can pick, least
+    # key first (keys are distinct)
+    free = [(cover_masks[u], 1 << u, keys[u])
+            for u in sorted(range(n), key=keys.__getitem__) if not forced >> u & 1]
 
-    # greedy incumbent: least weight per newly covered requirement, ties
-    # to the lowest index; every requirement has a coverer, so it ends
-    best_weight = root_weight
+    # greedy incumbent: least key per newly covered requirement, ties to
+    # the lowest index; every requirement has a coverer, so it ends
+    best_key = root_key
     best_mask = forced
     covered = root_covered
     while covered != full:
         pick = -1
-        pick_weight = pick_gain = 0
+        pick_key = pick_gain = 0
         for u in range(n):
             gain = (cover_masks[u] & ~covered).bit_count()
-            if gain and (pick < 0 or weights[u] * pick_gain < pick_weight * gain):
-                pick, pick_weight, pick_gain = u, weights[u], gain
-        best_weight += pick_weight
+            if gain and (pick < 0 or keys[u] * pick_gain < pick_key * gain):
+                pick, pick_key, pick_gain = u, keys[u], gain
+        best_key += pick_key
         best_mask |= 1 << pick
         covered |= cover_masks[pick]
 
-    # stack of (chosen_mask, chosen_weight, covered_mask, banned_mask)
-    stack = [(forced, root_weight, root_covered, 0)]
+    # stack of (chosen_mask, chosen_key, covered_mask, banned_mask)
+    stack = [(forced, root_key, root_covered, 0)]
     while stack:
-        chosen, weight, covered, banned = stack.pop()
+        chosen, key, covered, banned = stack.pop()
         uncovered = full & ~covered
         if uncovered == 0:
-            candidate = chosen
-            if chosen:
-                candidate |= zero_mask & ((1 << (chosen.bit_length() - 1)) - 1)
-            if weight < best_weight or (
-                    weight == best_weight and lex_tuple_less(candidate, best_mask)):
-                best_weight = weight
-                best_mask = candidate
+            if key < best_key:
+                best_key = key
+                best_mask = chosen
             continue
-        # one pass builds the bound and finds the requirement with the
-        # fewest allowed coverers; it breaks off (and the node is pruned)
-        # once the bound passes the incumbent
-        slack = (best_weight - weight) * _SCALE
+        # pick-count bound: the least keys of the fewest picks that can
+        # cover what is left
+        most = max([(c & uncovered).bit_count() for c, _, _ in free])
+        picks = -(-uncovered.bit_count() // most)
+        floor = 0
+        for c, bit, u_key in free:
+            if c & uncovered and not banned & bit:
+                floor += u_key
+                picks -= 1
+                if not picks:
+                    break
+        slack = (best_key - key) * _SCALE
+        if floor * _SCALE >= slack:
+            continue
+        # one pass builds the share bound and finds the requirement with
+        # the fewest allowed coverers; it breaks off (and the node is
+        # pruned) once the bound reaches the gap to the incumbent
         bound = 0
         fewest = n + 1
         branch_v = 0
@@ -198,20 +204,30 @@ def solve_min_cover(
                 fewest = count
                 branch_v = v
             bound += cheapest
-            if bound > slack:
+            if bound >= slack:
                 break
         else:
             children = []
             for u in coverers[branch_v]:
                 if banned >> u & 1:
                     continue
-                # <=, not <: a child that can tie the incumbent may lead to
-                # a lex-smaller optimum
-                if weight + weights[u] <= best_weight:
-                    children.append((chosen | 1 << u, weight + weights[u],
+                if key + keys[u] < best_key:
+                    children.append((chosen | 1 << u, key + keys[u],
                                      covered | cover_masks[u], banned))
                 banned |= 1 << u
             # reversed so the lowest-index coverer is explored first (LIFO)
             stack.extend(reversed(children))
 
-    return best_weight, best_mask
+    # the answer is the shortest index-order prefix of the keyed optimum
+    # that covers (module docstring)
+    weight = 0
+    mask = 0
+    covered = 0
+    while covered != full:
+        low = best_mask & -best_mask
+        best_mask ^= low
+        u = low.bit_length() - 1
+        weight += weights[u]
+        mask |= low
+        covered |= cover_masks[u]
+    return weight, mask

@@ -563,6 +563,8 @@ def run_corpus(
         if unknown:
             raise ValueError(f"unknown theorem ids: {', '.join(unknown)}")
         selected = [t for t in THEOREM_IDS if t in set(theorem_ids)]
+    if alpha is not None:
+        alpha = _level(alpha)
     for left, right in pairs:
         if left.vertex_count * right.vertex_count > PRODUCT_VERTEX_CAP:
             raise ValueError(

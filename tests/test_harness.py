@@ -182,6 +182,8 @@ def test_alpha_override_must_be_a_positive_int_or_fraction(k2_low, k2_even,
         check_theorem("T1", k2_low, k2_even, alpha=alpha)
     with pytest.raises(error, match=message):
         run_corpus([(params(seed=0), params(seed=1))], alpha=alpha)
+    with pytest.raises(error, match=message):
+        run_corpus([], alpha=alpha)
 
 
 def test_checkers_solve_factors_only_for_t3_values(monkeypatch, p3_mixed,

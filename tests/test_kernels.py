@@ -5,18 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzydom._cover import lex_tuple_less, solve_min_cover
-
-
-def test_lex_prefix_is_smaller():
-    # {0} < {0,1}: prefix wins; plain integer compare would say otherwise
-    assert lex_tuple_less(0b01, 0b11)
-    assert not lex_tuple_less(0b11, 0b01)
-    # {1} vs {0,1}: first element decides
-    assert lex_tuple_less(0b11, 0b10)
-    assert not lex_tuple_less(0b10, 0b11)
-    assert not lex_tuple_less(0b101, 0b101)
-    assert lex_tuple_less(0, 0b1)
+from fuzzydom._cover import solve_min_cover
 
 
 def test_infeasible_returns_none():
@@ -80,6 +69,20 @@ def test_search_replaces_a_tying_greedy_cover_that_sorts_later():
     masks, weights = [0b111, 0b011, 0b100], [2, 1, 1]
     assert subset_oracle(masks, weights) == (2, (0,))
     assert solve_min_cover(masks, weights) == (2, 0b001)
+
+
+def test_zero_weight_vertex_above_the_last_pick_is_dropped():
+    # the search takes zero-weight vertex 1 too; {0} is a prefix of {0, 1}
+    masks, weights = [0b11, 0b00], [1, 0]
+    assert subset_oracle(masks, weights) == (1, (0,))
+    assert solve_min_cover(masks, weights) == (1, 0b01)
+
+
+def test_zero_weight_vertex_below_the_last_pick_is_kept():
+    # {0, 1} weighs what {1} weighs and sorts first
+    masks, weights = [0b00, 0b11], [0, 1]
+    assert subset_oracle(masks, weights) == (1, (0, 1))
+    assert solve_min_cover(masks, weights) == (1, 0b11)
 
 
 @given(cover_instances())
