@@ -72,7 +72,12 @@ Lower bounds (admissible), for the uncovered requirement set U:
   vertices, each of which hits U (a pick covers the branch requirement,
   which is uncovered). So the completion adds at least the k least keys
   among allowed vertices that hit U. This bound is exact in integers and
-  is tried first.
+  is tried first. Finding `most` scans every vertex, so the search walks
+  those keys first, least first. Say the first j of them reach the gap.
+  The node is pruned iff k >= j, that is iff (j-1) * most < |U|, and only
+  then is `most` needed. Before that, once (j-1) times the largest hit
+  count among the j walked reaches |U|, k < j is already shown (most is
+  at least that count), and the walk stops without pruning.
 * shares: every completion that avoids the banned vertices adds at least
   the sum over v in U of the min over allowed coverers u of
   key(u)/|cover(u)&U|. No cover in a subtree uses a vertex banned there,
@@ -166,20 +171,31 @@ def solve_min_cover(
                 best_key = key
                 best_mask = chosen
             continue
-        # pick-count bound: the least keys of the fewest picks that can
-        # cover what is left
-        most = max([(c & uncovered).bit_count() for c, _, _ in free])
-        picks = -(-uncovered.bit_count() // most)
-        floor = 0
+        # pick-count bound: walk the allowed vertices that hit what is
+        # left, least key first; most is scanned for only once their keys
+        # reach the gap
+        size = uncovered.bit_count()
+        gap = best_key - key
+        floor = picks = seen = 0
+        prune = False
         for c, bit, u_key in free:
-            if c & uncovered and not banned & bit:
-                floor += u_key
-                picks -= 1
-                if not picks:
-                    break
-        slack = (best_key - key) * _SCALE
-        if floor * _SCALE >= slack:
+            hit = c & uncovered
+            if not hit or banned & bit:
+                continue
+            floor += u_key
+            picks += 1
+            hits = hit.bit_count()
+            if hits > seen:
+                seen = hits
+            if (picks - 1) * seen >= size:
+                break  # k < picks, so the k least keys fall short of the gap
+            if floor >= gap:
+                most = max([(d & uncovered).bit_count() for d, _, _ in free])
+                prune = (picks - 1) * most < size  # k >= picks
+                break
+        if prune:
             continue
+        slack = gap * _SCALE
         # one pass builds the share bound and finds the requirement with
         # the fewest allowed coverers; it breaks off (and the node is
         # pruned) once the bound reaches the gap to the incumbent
