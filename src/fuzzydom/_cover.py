@@ -65,29 +65,54 @@ leaf replaces the incumbent only if its key is smaller. A filtered
 coverer is still banned for its later siblings, as if its child had been
 pushed and then pruned.
 
-Lower bounds (admissible), for the uncovered requirement set U:
+Set-up: if the union of all masks is not every requirement, some
+requirement has no coverer and the search returns None before it builds
+anything. Otherwise it transposes the rows into coverer masks: col[v] has
+bit u set iff u covers v. Each row's set bits are walked, or its clear
+bits when more than half of them are set: those rows are first entered
+as covering every requirement, and each clear bit then takes the row out
+of that requirement's column. So the transpose costs the sum over rows
+of min(set bits, clear bits). A requirement whose column has one bit
+(c & (c - 1) == 0) has a single coverer, a root pick. Each pickable
+vertex keeps its key, and its key times _SCALE for the shares below.
+
+Lower bounds (admissible), for the uncovered requirement set U. Each
+node counts, once, how many members of U every pickable vertex hits;
+both bounds and `most` read that one list.
 
 * pick count: no vertex covers more than `most` members of U, so every
   completion picks at least k = ceil(|U| / most) distinct allowed
   vertices, each of which hits U (a pick covers the branch requirement,
   which is uncovered). So the completion adds at least the k least keys
   among allowed vertices that hit U. This bound is exact in integers and
-  is tried first. Finding `most` scans every vertex, so the search walks
-  those keys first, least first. Say the first j of them reach the gap.
-  The node is pruned iff k >= j, that is iff (j-1) * most < |U|, and only
-  then is `most` needed. Before that, once (j-1) times the largest hit
-  count among the j walked reaches |U|, k < j is already shown (most is
-  at least that count), and the walk stops without pruning.
-* shares: every completion that avoids the banned vertices adds at least
-  the sum over v in U of the min over allowed coverers u of
-  key(u)/|cover(u)&U|. No cover in a subtree uses a vertex banned there,
-  so leaving banned coverers out keeps the bound below every cover the
-  subtree can reach. Each term is scaled by the fixed power of two _SCALE
-  and rounded down, which never raises it.
+  is tried first. The search walks those keys least first. Say the first
+  j of them reach the gap. The node is pruned iff k >= j, that is iff
+  (j-1) * most < |U|, and only then is `most` needed. Before that, once
+  (j-1) times the largest hit count among the j walked reaches |U|,
+  k < j is already shown (most is at least that count), and the walk
+  stops without pruning.
+* shares: give each allowed vertex u that hits U the term
+  t(u) = key(u) * _SCALE / |cover(u) & U|, rounded down, which never
+  raises it. A completion S that avoids the banned vertices covers U, so
+  _SCALE * key(S) >= sum over u in S that hit U of t(u) * |cover(u) & U|
+  >= sum over v in U of min over allowed coverers u of t(u), since each
+  v is covered by some u in S and every term is nonnegative. No cover in
+  a subtree uses a vertex banned there, so leaving banned coverers out
+  keeps the bound below every cover the subtree can reach. The search
+  sums it with a least-share sweep: it walks the allowed vertices that
+  hit U in order of t(u), and charges each requirement that a vertex
+  newly covers that vertex's term. A requirement is charged once, by its
+  first coverer in the walk, and no later coverer has a smaller term, so
+  the sweep adds exactly the per-requirement minima above. No partial
+  sum exceeds the total, so the node is pruned as soon as one reaches
+  the scaled gap, and the branch requirement is looked for only on nodes
+  that survive both bounds.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 _SCALE = 1 << 32
@@ -105,28 +130,37 @@ def solve_min_cover(
     n = len(cover_masks)
     if len(weights) != n:
         raise ValueError("cover_masks and weights must have equal length")
-    if any(m >> n for m in cover_masks):
+    union = reduce(or_, cover_masks, 0)
+    if union >> n:
         raise ValueError("cover_masks reference vertices beyond range")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-
     full = (1 << n) - 1
-    # coverers[v]: the vertices covering requirement v, ascending
-    coverers: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        m = cover_masks[u]
+    if union != full:
+        return None
+
+    # col[v]: the mask of the vertices covering requirement v; a row more
+    # than half set is walked by its clear bits, then flipped in with dense
+    col = [0] * n
+    dense = 0
+    half = n >> 1
+    for u, m in enumerate(cover_masks):
+        bit = 1 << u
+        if m.bit_count() > half:
+            dense |= bit
+            m ^= full
         while m:
             low = m & -m
-            coverers[low.bit_length() - 1].append(u)
+            col[low.bit_length() - 1] ^= bit
             m ^= low
+    if dense:
+        col = [c ^ dense for c in col]
     # root picks: every zero-weight vertex, and each requirement's only
     # coverer, which is in every cover
     forced = sum(1 << u for u in range(n) if weights[u] == 0)
-    for v in range(n):
-        if len(coverers[v]) == 1:
-            forced |= 1 << coverers[v][0]
-        elif not coverers[v]:
-            return None
+    for c in col:
+        if not c & (c - 1):
+            forced |= c
     # key(u) = w(u) * 2^n - 2^(n-1-u) for w(u) > 0 (module docstring); a
     # zero-weight vertex is a root pick with key 0
     keys = [(w << n) - (1 << (n - 1 - u)) if w else 0
@@ -137,13 +171,14 @@ def solve_min_cover(
         if forced >> u & 1:
             root_key += keys[u]
             root_covered |= cover_masks[u]
-    # share[u][hits]: key(u) * _SCALE / hits, rounded down
-    share = [[0, *map((k * _SCALE).__floordiv__, range(1, c.bit_count() + 1))]
-             for k, c in zip(keys, cover_masks)]
-    # (cover mask, bit, key) of each vertex a completion can pick, least
-    # key first (keys are distinct)
-    free = [(cover_masks[u], 1 << u, keys[u])
-            for u in sorted(range(n), key=keys.__getitem__) if not forced >> u & 1]
+    # the vertices a completion can pick, least key first (keys are
+    # distinct): cover masks, bits, keys and keys times _SCALE
+    order = sorted((u for u in range(n) if not forced >> u & 1),
+                   key=keys.__getitem__)
+    free_masks = [cover_masks[u] for u in order]
+    free_bits = [1 << u for u in order]
+    free_keys = [keys[u] for u in order]
+    free_scaled = [keys[u] * _SCALE for u in order]
 
     # greedy incumbent: least key per newly covered requirement, ties to
     # the lowest index; every requirement has a coverer, so it ends
@@ -165,74 +200,81 @@ def solve_min_cover(
     stack = [(forced, root_key, root_covered, 0)]
     while stack:
         chosen, key, covered, banned = stack.pop()
-        uncovered = full & ~covered
+        uncovered = full ^ covered
         if uncovered == 0:
             if key < best_key:
                 best_key = key
                 best_mask = chosen
             continue
+        hits = [(c & uncovered).bit_count() for c in free_masks]
         # pick-count bound: walk the allowed vertices that hit what is
-        # left, least key first; most is scanned for only once their keys
-        # reach the gap
+        # left, least key first; most is read only once their keys reach
+        # the gap
         size = uncovered.bit_count()
         gap = best_key - key
         floor = picks = seen = 0
         prune = False
-        for c, bit, u_key in free:
-            hit = c & uncovered
-            if not hit or banned & bit:
+        for h, bit, u_key in zip(hits, free_bits, free_keys):
+            if not h or banned & bit:
                 continue
             floor += u_key
             picks += 1
-            hits = hit.bit_count()
-            if hits > seen:
-                seen = hits
+            if h > seen:
+                seen = h
             if (picks - 1) * seen >= size:
                 break  # k < picks, so the k least keys fall short of the gap
             if floor >= gap:
-                most = max([(d & uncovered).bit_count() for d, _, _ in free])
-                prune = (picks - 1) * most < size  # k >= picks
+                prune = (picks - 1) * max(hits) < size  # k >= picks
                 break
         if prune:
             continue
+        # share bound: charge each requirement the least share of its
+        # allowed coverers, least share first, until the gap is reached
+        # or nothing is left
         slack = gap * _SCALE
-        # one pass builds the share bound and finds the requirement with
-        # the fewest allowed coverers; it breaks off (and the node is
-        # pruned) once the bound reaches the gap to the incumbent
+        shares = sorted([(scaled // h, c) for h, c, bit, scaled
+                         in zip(hits, free_masks, free_bits, free_scaled)
+                         if h and not banned & bit])
         bound = 0
+        left = uncovered
+        for term, c in shares:
+            new = c & left
+            if new:
+                bound += term * new.bit_count()
+                if bound >= slack:
+                    break
+                left ^= new
+                if not left:
+                    break
+        if bound >= slack:
+            continue
+        # branch on the requirement with the fewest allowed coverers, ties
+        # to the lowest index; every one has at least one (docstring)
+        allowed = full ^ banned
         fewest = n + 1
-        branch_v = 0
+        branch = 0
         m = uncovered
         while m:
             low = m & -m
             m ^= low
-            v = low.bit_length() - 1
-            count = 0
-            cheapest = 0
-            for u in coverers[v]:
-                if banned >> u & 1:
-                    continue
-                term = share[u][(cover_masks[u] & uncovered).bit_count()]
-                if count == 0 or term < cheapest:
-                    cheapest = term
-                count += 1
+            count = (col[low.bit_length() - 1] & allowed).bit_count()
             if count < fewest:
                 fewest = count
-                branch_v = v
-            bound += cheapest
-            if bound >= slack:
-                break
-        else:
-            children = []
-            for u in coverers[branch_v]:
-                if banned >> u & 1:
-                    continue
-                if key + keys[u] < best_key:
-                    children.append((chosen | 1 << u, key + keys[u],
-                                     covered | cover_masks[u], banned))
-                banned |= 1 << u
-            # reversed so the lowest-index coverer is explored first (LIFO)
-            stack.extend(reversed(children))
+                branch = low.bit_length() - 1
+                if count < 2:
+                    break
+        children = []
+        m = col[branch] & allowed
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            if key + keys[u] < best_key:
+                children.append((chosen | low, key + keys[u],
+                                 covered | cover_masks[u], banned))
+            banned |= low
+        # reversed so the lowest-index coverer is explored first (LIFO)
+        stack.extend(reversed(children))
 
     # the answer is the shortest index-order prefix of the keyed optimum
     # that covers (module docstring)

@@ -33,8 +33,10 @@ graph.
 Each graph owns its id -> position map (_positions), so a vertex lookup is
 one dict read and never hashes the graph. The hash itself is computed once
 per value and kept in the instance, since the fields never change; an
-lru_cache lookup after the first costs O(1) instead of hashing every
-Fraction. _effective_adjacency is the one cache keyed on graphs left,
+lru_cache lookup after the first costs O(1). It hashes each weight's
+integer ratio, not the Fraction: Fraction.__hash__ runs in Python and
+takes a modular inverse, while a pair of ints is cheap to hash. Fractions
+are normalised, so equal graphs still hash equal. _effective_adjacency is the one cache keyed on graphs left,
 because perfbench counts retained graphs by the entries of this module's
 lru caches. It holds the 64 graphs used last, and with them their masks,
 so memory stays flat over a corpus run of any length. That is more than
@@ -163,8 +165,12 @@ class FuzzyGraph:
     def __hash__(self) -> int:
         memo = self.__dict__
         if "_hash" not in memo:
-            memo["_hash"] = hash((self.name, self.vertices, self.sigma,
-                                  self.edges, self.product_tag))
+            # integer ratios, not Fractions (module docstring)
+            ratio = Fraction.as_integer_ratio
+            memo["_hash"] = hash((
+                self.name, self.vertices, tuple(map(ratio, self.sigma)),
+                tuple([(u, v, ratio(mu)) for u, v, mu in self.edges]),
+                self.product_tag))
         return memo["_hash"]
 
     @classmethod

@@ -25,6 +25,7 @@ from fuzzydom.core import (
     open_neighborhood,
     validate,
 )
+from fuzzydom.fileformat import load, save
 from fuzzydom.harness import GenParams, run_corpus
 from fuzzydom.product import ProductError
 
@@ -177,6 +178,28 @@ def test_vertex_lookups_never_hash_the_graph(monkeypatch):
     with pytest.raises(InvalidGraphError) as info:
         FuzzyGraph.build("g", [("a", "0.5"), ("b", "0.2")], [("a", "b", "0.3")])
     assert info.value.violations == ["mu exceeds min sigma on (a,b)"]
+
+
+def test_equal_graphs_hash_equal_and_share_one_mask_entry(p3_product, tmp_path):
+    def fresh(x):
+        return Fraction(x.numerator * 3, x.denominator * 3)  # a new object
+
+    g = p3_product
+    rebuilt = FuzzyGraph(
+        name=g.name, vertices=g.vertices, sigma=tuple(map(fresh, g.sigma)),
+        edges=tuple((u, v, fresh(mu)) for u, v, mu in g.edges),
+        product_tag=g.product_tag)
+    path = tmp_path / "g.fg"
+    save(g, str(path))
+    loaded = load(str(path))
+    assert rebuilt.sigma[0] is not g.sigma[0]
+    assert g == rebuilt == loaded
+    assert hash(g) == hash(rebuilt) == hash(loaded)
+    _effective_adjacency.cache_clear()
+    assert _effective_adjacency(g) == _effective_adjacency(rebuilt) \
+        == _effective_adjacency(loaded)
+    info = _effective_adjacency.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_effectiveness_is_exact_equality(p3_mixed):

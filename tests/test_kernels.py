@@ -97,3 +97,42 @@ def test_kernel_matches_subset_oracle(instance):
     weight, mask = got
     assert weight == expected[0]
     assert tuple(u for u in range(len(masks)) if mask >> u & 1) == expected[1]
+
+
+@st.composite
+def mixed_density_instances(draw):
+    # n = 9-12, above the oracle test's range; rows more than half set
+    # (the transpose walks their clear bits) mixed with sparse ones
+    n = draw(st.integers(min_value=9, max_value=12))
+    row = st.integers(min_value=0, max_value=(1 << n) - 1)
+    masks = []
+    for _ in range(n):
+        a, b, c = draw(row), draw(row), draw(row)
+        masks.append(a | b | c if draw(st.booleans()) else a & b)
+    weights = [draw(st.integers(min_value=0, max_value=4)) for _ in range(n)]
+    return masks, weights
+
+
+@given(mixed_density_instances())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_subset_oracle_on_dense_and_sparse_rows(instance):
+    masks, weights = instance
+    expected = subset_oracle(masks, weights)
+    got = solve_min_cover(masks, weights)
+    if expected is None:
+        assert got is None
+        return
+    weight, mask = got
+    assert weight == expected[0]
+    assert tuple(u for u in range(len(masks)) if mask >> u & 1) == expected[1]
+
+
+def test_dense_rows_with_one_uncovered_requirement_return_none():
+    # ten rows, each all but bit 7 set: requirement 7 has no coverer
+    masks = [0b1101111111] * 10
+    assert subset_oracle(masks, [1] * 10) is None
+    assert solve_min_cover(masks, [1] * 10) is None
+    # one coverer of requirement 7 makes it a root pick
+    masks[3] = 0b0010000000
+    assert subset_oracle(masks, [1] * 10) == (2, (0, 3))
+    assert solve_min_cover(masks, [1] * 10) == (2, 0b1001)
