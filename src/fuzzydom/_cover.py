@@ -77,8 +77,9 @@ of min(set bits, clear bits). A requirement whose column has one bit
 vertex keeps its key, and its key times _SCALE for the shares below.
 
 Lower bounds (admissible), for the uncovered requirement set U. Each
-node counts, once, how many members of U every pickable vertex hits;
-both bounds and `most` read that one list.
+node that passes the first-key check below counts, once, how many
+members of U every pickable vertex hits; both bounds and `most` read that
+one list.
 
 * pick count: no vertex covers more than `most` members of U, so every
   completion picks at least k = ceil(|U| / most) distinct allowed
@@ -90,7 +91,11 @@ both bounds and `most` read that one list.
   (j-1) * most < |U|, and only then is `most` needed. Before that, once
   (j-1) times the largest hit count among the j walked reaches |U|,
   k < j is already shown (most is at least that count), and the walk
-  stops without pruning.
+  stops without pruning. With j = 1 the node is pruned whatever `most`
+  is (k >= 1), so the search first finds the least-key allowed vertex
+  that hits U, by one mask test per vertex, and prunes if its key alone
+  reaches the gap; only a node that passes this check counts hits. It
+  is the walk's own first step, so every prune stays the same.
 * shares: give each allowed vertex u that hits U the term
   t(u) = key(u) * _SCALE / |cover(u) & U|, rounded down, which never
   raises it. A completion S that avoids the banned vertices covers U, so
@@ -206,12 +211,20 @@ def solve_min_cover(
                 best_key = key
                 best_mask = chosen
             continue
+        # the pick-count walk's first pick, before any hit is counted: the
+        # least-key allowed vertex that hits U; every uncovered requirement
+        # has an allowed coverer (docstring), so the loop breaks
+        gap = best_key - key
+        for c, bit, first in zip(free_masks, free_bits, free_keys):
+            if c & uncovered and not banned & bit:
+                break
+        if first >= gap:
+            continue
         hits = [(c & uncovered).bit_count() for c in free_masks]
         # pick-count bound: walk the allowed vertices that hit what is
         # left, least key first; most is read only once their keys reach
         # the gap
         size = uncovered.bit_count()
-        gap = best_key - key
         floor = picks = seen = 0
         prune = False
         for h, bit, u_key in zip(hits, free_bits, free_keys):

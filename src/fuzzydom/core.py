@@ -17,31 +17,35 @@ of validate raises InvalidGraphError: every FuzzyGraph is a fuzzy graph in
 Rosenfeld's sense (no loops, weights in [0, 1], mu <= min sigma on every
 edge), and products, loaded files and generated graphs all pass this gate.
 
-_effective_adjacency is the one place that decides effectiveness: it gives
-one bitmask per vertex, bit j of entry i set exactly when {i, j} is an
-effective edge. Every predicate, neighborhood, solver and LP row in the
-package reads those masks.
+The constructor is the one place that decides effectiveness: it keeps one
+bitmask per vertex, bit j of entry i set exactly when {i, j} is an
+effective edge, and _effective_adjacency gives them out. Every predicate,
+neighborhood, solver and LP row in the package reads those masks.
 
-The fields hold Fractions, but validate and _effective_adjacency compare
-integers. _integer_view multiplies every sigma and mu by scale, the lcm of
-all their denominators, which makes each weight an integer and keeps every
-order and equality between weights exact. The view, like a product's
-factor pairs (read back from its ids by _factor_pairs, the one parser of
-product ids), is computed when it is needed and never stored on the
-graph.
+The fields hold Fractions, but validate and the masks compare integers.
+_integer_view multiplies every sigma and mu by scale, the lcm of all their
+denominators, which makes each weight an integer and keeps every order and
+equality between weights exact.
 
-Each graph owns its id -> position map (_positions), so a vertex lookup is
-one dict read and never hashes the graph. The hash itself is computed once
-per value and kept in the instance, since the fields never change; an
-lru_cache lookup after the first costs O(1). It hashes each weight's
-integer ratio, not the Fraction: Fraction.__hash__ runs in Python and
-takes a modular inverse, while a pair of ints is cheap to hash. Fractions
-are normalised, so equal graphs still hash equal. _effective_adjacency is the one cache keyed on graphs left,
-because perfbench counts retained graphs by the entries of this module's
-lru caches. It holds the 64 graphs used last, and with them their masks,
-so memory stays flat over a corpus run of any length. That is more than
-one check pair needs: over 3,000 pairs of 4-vertex factors a bound of 64
-recomputed no more masks than an unbounded cache, while 16 and 32 did.
+Each graph owns what is derived from its fields, since they never change.
+The constructor's call to validate builds the integer view; the
+constructor then keeps the effective masks and the hash, both taken from
+that view, and drops the view itself. A graph built to be solved reads its
+masks without recomputing anything, while keeping the view on every graph
+would cost memory that nothing reads again. The hash is taken over the
+name, the ids, the scale, the integer weights and the tag: equal graphs
+have equal views, so they still hash equal, and hashing ints is cheap
+where Fraction.__hash__ runs in Python. A product's factor pairs (read
+back from its ids by _factor_pairs, the one parser of product ids) are
+computed when needed and not stored. Each graph also owns its id ->
+position map (_positions), so a vertex lookup is one dict read and never
+hashes the graph.
+
+_effective_adjacency only returns the stored masks, yet it keeps its
+lru_cache, the one cache keyed on graphs: perfbench counts retained graphs
+by the entries of this module's lru caches, and reads no count without
+one. It holds the 64 graphs used last, so memory stays flat over a corpus
+run of any length.
 
 FuzzyGraph is immutable. Vertices keep their input order and every
 set-valued result is returned sorted by that order, which makes all
@@ -141,7 +145,7 @@ class FuzzyGraph:
         if len(idx) != len(self.vertices):
             raise GraphStructureError("duplicate vertex id " + repr(next(
                 v for i, v in enumerate(self.vertices) if idx[v] != i)))
-        previous = ("", "")  # below every pair of ids
+        pu = pv = ""  # below every id
         for edge in self.edges:
             if not (isinstance(edge, tuple) and len(edge) == 3
                     and isinstance(edge[0], str) and isinstance(edge[1], str)):
@@ -151,27 +155,35 @@ class FuzzyGraph:
             if u not in idx or v not in idx:
                 raise GraphStructureError(
                     f"edge endpoint {v if u in idx else u!r} is not a vertex")
-            if u > v or (u, v) <= previous:
+            # (u, v) <= (pu, pv), compared without building the pairs
+            if u > v or u < pu or u == pu and v <= pv:
                 raise GraphStructureError(
-                    f"duplicate edge ({u},{v})" if (u, v) == previous else
+                    f"duplicate edge ({u},{v})" if u == pu and v == pv else
                     f"edge ({u},{v}) is not oriented u <= v and sorted by pair")
             if not isinstance(mu, Fraction):
                 raise _weight_error(f"mu({u},{v})", mu)
-            previous = (u, v)
+            pu, pv = u, v
         violations = validate(self)
         if violations:
             raise InvalidGraphError(self.name, violations)
+        # masks and hash from the view validate built, then drop the view
+        # (module docstring)
+        scale, sigma, edges = self._integer_view
+        memo = self.__dict__
+        del memo["_integer_view"]
+        masks = [0] * len(sigma)
+        for i, j, mu in edges:
+            # validate found mu <= min(sigma[i], sigma[j]) and i != j, so
+            # mu is the min iff it equals either end's sigma
+            if mu == sigma[i] or mu == sigma[j]:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        memo["_masks"] = tuple(masks)
+        memo["_hash"] = hash((self.name, self.vertices, scale, tuple(sigma),
+                              tuple(edges), self.product_tag))
 
     def __hash__(self) -> int:
-        memo = self.__dict__
-        if "_hash" not in memo:
-            # integer ratios, not Fractions (module docstring)
-            ratio = Fraction.as_integer_ratio
-            memo["_hash"] = hash((
-                self.name, self.vertices, tuple(map(ratio, self.sigma)),
-                tuple([(u, v, ratio(mu)) for u, v, mu in self.edges]),
-                self.product_tag))
-        return memo["_hash"]
+        return self.__dict__["_hash"]
 
     @classmethod
     def build(
@@ -184,16 +196,23 @@ class FuzzyGraph:
         """Parse string weights, orient each edge u <= v, sort, construct.
 
         Endpoints must be strings to compare; every other check, duplicates
-        in either orientation included, is the constructor's.
+        in either orientation included, is the constructor's. An edge that
+        is already a tuple (u, v, mu) with u <= v and mu not a string is
+        kept as it is.
         """
         pairs = list(vertices)
         canon: list[tuple[str, str, Fraction]] = []
-        for u, v, raw in edges:
+        for edge in edges:
+            u, v, mu = edge
             if not (isinstance(u, str) and isinstance(v, str)):
                 raise GraphStructureError(
                     f"edge endpoints must be strings, got ({u!r}, {v!r})")
-            a, b = (u, v) if u <= v else (v, u)
-            canon.append((a, b, parse_weight(raw) if isinstance(raw, str) else raw))
+            if isinstance(mu, str):
+                mu = parse_weight(mu)
+            elif u <= v and type(edge) is tuple:
+                canon.append(edge)
+                continue
+            canon.append((u, v, mu) if u <= v else (v, u, mu))
         canon.sort(key=itemgetter(0, 1))  # mu is never compared
         return cls(name=name, vertices=tuple(vid for vid, _ in pairs),
                    sigma=tuple(parse_weight(raw) if isinstance(raw, str) else raw
@@ -203,6 +222,28 @@ class FuzzyGraph:
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {vid: i for i, vid in enumerate(self.vertices)}
+
+    @cached_property
+    def _integer_view(self) -> tuple[int, list[int], list[tuple[int, int, int]]]:
+        """(scale, sigma, edges): every weight times scale, as an integer.
+
+        scale is the lcm of the denominators of all sigma and mu, so
+        a < b iff a * scale < b * scale with both sides integers. edges
+        holds (i, j, mu) with vertex positions, parallel to self.edges.
+        Kept only while the constructor runs (module docstring).
+        """
+        # one as_integer_ratio call per weight, not one property per part
+        sigma_ratios = [s.as_integer_ratio() for s in self.sigma]
+        mu_ratios = [mu.as_integer_ratio() for _, _, mu in self.edges]
+        denominators = {d for _, d in sigma_ratios}
+        denominators.update({d for _, d in mu_ratios})
+        scale = lcm(*denominators)
+        factor = {d: scale // d for d in denominators}
+        sigma = [n * factor[d] for n, d in sigma_ratios]
+        idx = self._positions
+        edges = [(idx[u], idx[v], n * factor[d])
+                 for (u, v, _), (n, d) in zip(self.edges, mu_ratios)]
+        return scale, sigma, edges
 
     def index(self, vid: str) -> int:
         try:
@@ -240,35 +281,10 @@ def _factor_pairs(g: FuzzyGraph) -> list[tuple[str, str]]:
     return pairs
 
 
-def _integer_view(
-        g: FuzzyGraph) -> tuple[int, list[int], list[tuple[int, int, int]]]:
-    """(scale, sigma, edges): every weight times scale, as an integer.
-
-    scale is the lcm of the denominators of all sigma and mu, so
-    a < b iff a * scale < b * scale with both sides integers. edges holds
-    (i, j, mu) with vertex positions, parallel to g.edges.
-    """
-    denominators = {s.denominator for s in g.sigma}
-    denominators.update(mu.denominator for _, _, mu in g.edges)
-    scale = lcm(*denominators)
-    factor = {d: scale // d for d in denominators}
-    sigma = [s.numerator * factor[s.denominator] for s in g.sigma]
-    idx = g._positions
-    edges = [(idx[u], idx[v], mu.numerator * factor[mu.denominator])
-             for u, v, mu in g.edges]
-    return scale, sigma, edges
-
-
 @lru_cache(maxsize=64)
 def _effective_adjacency(g: FuzzyGraph) -> tuple[int, ...]:
     """Bit j of entry i is set iff {i, j} is an effective edge."""
-    _, sigma, edges = _integer_view(g)
-    masks = [0] * len(sigma)
-    for i, j, mu in edges:
-        if mu == min(sigma[i], sigma[j]):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return tuple(masks)
+    return g._masks
 
 
 def validate(g: FuzzyGraph) -> list[str]:
@@ -277,9 +293,12 @@ def validate(g: FuzzyGraph) -> list[str]:
     FuzzyGraph's constructor calls this and refuses the value on any
     finding, so on a graph that exists it returns []. The findings, in
     order: sigma out of range per vertex, then per edge a loop, mu out of
-    range, or mu exceeding min sigma.
+    range, or mu exceeding min sigma. It reads g._integer_view, which only
+    the constructor keeps, until it has taken the masks and the hash.
     """
-    scale, sigma, edges = _integer_view(g)
+    scale, sigma, edges = g._integer_view
+    if "_masks" in g.__dict__:  # a finished graph keeps no view
+        del g.__dict__["_integer_view"]
     violations: list[str] = []
     for vid, s in zip(g.vertices, sigma):
         if not 0 <= s <= scale:
@@ -290,7 +309,7 @@ def validate(g: FuzzyGraph) -> list[str]:
             continue
         if not 0 <= mu <= scale:
             violations.append(f"mu out of range on ({u},{v})")
-        if mu > min(sigma[i], sigma[j]):
+        if mu > sigma[i] or mu > sigma[j]:
             violations.append(f"mu exceeds min sigma on ({u},{v})")
     return violations
 

@@ -57,9 +57,9 @@ _VERTEX_KEYS = frozenset({"id", "sigma"})
 _EDGE_KEYS = frozenset({"u", "v", "mu"})
 
 
-def _weight_string(value: Any, literals: dict[str, Fraction], section: str,
-                   i: int, key: str) -> Fraction:
-    """The weight at section[i].key, parsed once per distinct literal.
+def _new_weight(value: Any, literals: dict[str, Fraction], section: str,
+                i: int, key: str) -> Fraction:
+    """Parse the weight at section[i].key, a literal not in literals yet.
 
     A literal enters literals only after parse_weight accepts it, so a bad
     one is reported at its first occurrence.
@@ -68,12 +68,10 @@ def _weight_string(value: Any, literals: dict[str, Fraction], section: str,
         raise FileFormatError(
             f"{section}[{i}].{key}: weights must be decimal strings, "
             f"got {type(value).__name__}")
-    weight = literals.get(value)
-    if weight is None:
-        try:
-            weight = literals[value] = parse_weight(value)
-        except WeightError as exc:
-            raise FileFormatError(f"{section}[{i}].{key}: {exc}") from exc
+    try:
+        weight = literals[value] = parse_weight(value)
+    except WeightError as exc:
+        raise FileFormatError(f"{section}[{i}].{key}: {exc}") from exc
     return weight
 
 
@@ -112,6 +110,9 @@ def graph_of_document(doc: Any) -> FuzzyGraph:
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise FileFormatError("vertices and edges must be arrays")
 
+    # each weight literal is looked up here and parsed by _new_weight
+    # only on its first occurrence; each edge is oriented u <= v as it is
+    # read, so build keeps the tuple
     literals: dict[str, Fraction] = {}
     vertices = []
     for i, entry in enumerate(doc["vertices"]):
@@ -119,20 +120,31 @@ def graph_of_document(doc: Any) -> FuzzyGraph:
             raise FileFormatError(f"vertices[{i}] must be an object")
         if entry.keys() != _VERTEX_KEYS:
             _require_keys(entry, _VERTEX_KEYS, set(), f"vertices[{i}]")
-        if not isinstance(entry["id"], str):
+        vid, sigma = entry["id"], entry["sigma"]
+        if not isinstance(vid, str):
             raise FileFormatError(f"vertices[{i}].id must be a string")
-        vertices.append((entry["id"], _weight_string(
-            entry["sigma"], literals, "vertices", i, "sigma")))
+        weight = literals.get(sigma) if type(sigma) is str else None
+        if weight is None:
+            weight = _new_weight(sigma, literals, "vertices", i, "sigma")
+        vertices.append((vid, weight))
     edges = []
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict):
             raise FileFormatError(f"edges[{i}] must be an object")
-        if entry.keys() != _EDGE_KEYS:
+        # three entries, each one expected, are exactly the expected keys;
+        # on any other set _require_keys raises and names the difference
+        try:
+            if len(entry) != 3:
+                raise KeyError
+            u, v, mu = entry["u"], entry["v"], entry["mu"]
+        except KeyError:
             _require_keys(entry, _EDGE_KEYS, set(), f"edges[{i}]")
-        if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
+        if not isinstance(u, str) or not isinstance(v, str):
             raise FileFormatError(f"edges[{i}] endpoints must be strings")
-        edges.append((entry["u"], entry["v"], _weight_string(
-            entry["mu"], literals, "edges", i, "mu")))
+        weight = literals.get(mu) if type(mu) is str else None
+        if weight is None:
+            weight = _new_weight(mu, literals, "edges", i, "mu")
+        edges.append((u, v, weight) if u <= v else (v, u, weight))
 
     tag = None
     if "product_of" in doc:

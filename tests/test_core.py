@@ -27,7 +27,8 @@ from fuzzydom.core import (
 )
 from fuzzydom.fileformat import load, save
 from fuzzydom.harness import GenParams, run_corpus
-from fuzzydom.product import ProductError
+from fuzzydom.product import ProductError, direct_product
+from fuzzydom.weights import format_weight
 
 from .conftest import graphs
 
@@ -159,6 +160,7 @@ def test_build_rejects_endpoints_that_are_not_strings():
 
 def test_validate_passes_clean_graph(p3_mixed):
     assert validate(p3_mixed) == []
+    assert "_integer_view" not in vars(p3_mixed)
 
 
 def test_unknown_vertex_lookup(k2_low):
@@ -180,14 +182,15 @@ def test_vertex_lookups_never_hash_the_graph(monkeypatch):
     assert info.value.violations == ["mu exceeds min sigma on (a,b)"]
 
 
-def test_equal_graphs_hash_equal_and_share_one_mask_entry(p3_product, tmp_path):
-    def fresh(x):
-        return Fraction(x.numerator * 3, x.denominator * 3)  # a new object
+def _fresh(x: Fraction) -> Fraction:
+    return Fraction(x.numerator * 3, x.denominator * 3)  # a new object
 
+
+def test_equal_graphs_hash_equal_and_share_one_mask_entry(p3_product, tmp_path):
     g = p3_product
     rebuilt = FuzzyGraph(
-        name=g.name, vertices=g.vertices, sigma=tuple(map(fresh, g.sigma)),
-        edges=tuple((u, v, fresh(mu)) for u, v, mu in g.edges),
+        name=g.name, vertices=g.vertices, sigma=tuple(map(_fresh, g.sigma)),
+        edges=tuple((u, v, _fresh(mu)) for u, v, mu in g.edges),
         product_tag=g.product_tag)
     path = tmp_path / "g.fg"
     save(g, str(path))
@@ -392,7 +395,9 @@ _LARGE_LCM = {
 def test_integer_checks_match_the_fraction_rule(fields):
     expected = _reference_violations(fields)
     if not expected:
-        assert _effective_adjacency(FuzzyGraph(**fields)) == _reference_masks(fields)
+        g = FuzzyGraph(**fields)
+        assert "_integer_view" not in vars(g)
+        assert _effective_adjacency(g) == _reference_masks(fields)
         return
     with pytest.raises(InvalidGraphError) as info:
         FuzzyGraph(**fields)
@@ -404,6 +409,32 @@ def test_integer_checks_match_the_fraction_rule(fields):
                                        if e[0] != "b" or e[1] != "d")})
 def test_effective_masks_match_the_fraction_rule(fields):
     assert _effective_adjacency(FuzzyGraph(**fields)) == _reference_masks(fields)
+
+
+def _fields(g: FuzzyGraph) -> dict:
+    return {"name": g.name, "vertices": g.vertices, "sigma": g.sigma,
+            "edges": g.edges, "product_tag": g.product_tag}
+
+
+@given(g=graphs(), h=graphs(max_vertices=3))
+def test_every_maker_keeps_masks_and_hash_but_not_the_view(tmp_path_factory, g, h):
+    path = str(tmp_path_factory.getbasetemp() / "owned.fg")
+    save(g, path)
+    equal = [
+        FuzzyGraph(name=g.name, vertices=g.vertices,
+                   sigma=tuple(map(_fresh, g.sigma)),
+                   edges=tuple((u, v, _fresh(mu)) for u, v, mu in g.edges)),
+        FuzzyGraph.build(g.name, [(v, format_weight(s))
+                                  for v, s in zip(g.vertices, g.sigma)],
+                         [(v, u, _fresh(mu)) for u, v, mu in reversed(g.edges)]),
+        load(path),
+    ]
+    for made in [*equal, direct_product(g, h)]:
+        assert "_integer_view" not in vars(made)
+        _effective_adjacency.cache_clear()  # read this instance's masks
+        assert _effective_adjacency(made) == _reference_masks(_fields(made))
+    for made in equal:
+        assert made == g and hash(made) == hash(g)
 
 
 def _live_graphs() -> int:

@@ -245,6 +245,29 @@ def test_export_dot_styles_effectiveness(p3_mixed, tmp_path):
     assert text.startswith('graph "p3-mixed" {')
 
 
+def _reversed_and_swapped(doc: dict) -> dict:
+    return {**doc, "edges": [{"u": e["v"], "v": e["u"], "mu": e["mu"]}
+                             for e in reversed(doc["edges"])]}
+
+
+@given(g=graphs(max_vertices=3), h=graphs(max_vertices=3))
+def test_reversed_and_swapped_edges_load_canonical(tmp_path_factory, g, h):
+    p = direct_product(g, h)
+    path = tmp_path_factory.getbasetemp() / "reversed.fg"
+    path.write_text(json.dumps(_reversed_and_swapped(document_of(p))))
+    back = load(str(path))
+    assert back == p and dumps(back) == dumps(p)
+
+
+def test_an_edge_in_both_orientations_is_refused(p3_product):
+    doc = document_of(p3_product)
+    first = doc["edges"][0]
+    doc["edges"].append({"u": first["v"], "v": first["u"], "mu": first["mu"]})
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"duplicate edge ({first['u']},{first['v']})")):
+        graph_of_document(doc)
+
+
 @given(graphs())
 def test_generated_graphs_roundtrip(g):
     doc = json.loads(dumps(g))
