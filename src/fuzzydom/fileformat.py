@@ -18,12 +18,23 @@ recovers every vertex's factor pair; the graph's constructor checks this.
 Serialization is canonical: vertices in input order, edges sorted by
 (min id, max id), weights printed with minimal digits. Saving the same
 graph twice is byte-identical, which the determinism tests rely on.
+
+document_of defines the document's content. dumps renders it in a fixed
+layout, one %-template per object, whose bytes equal
+json.dumps(document_of(g), indent=2) plus a newline: two-space indents, one
+key per line, "[]" for an empty array, and every name, id and tag field
+escaped by the json module's own ASCII escaper. It does not call json.dumps
+because the C encoder of CPython 3.10-3.12 serves only indent=None; with an
+indent, json falls back to a pure-Python generator encoder, which made
+saving a 36-64-vertex product cost more than building it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import AbstractSet, Any
 
 from .core import FuzzyGraph, GraphError, InvalidGraphError, ProductTag, is_effective
@@ -75,20 +86,40 @@ def _new_weight(value: Any, literals: dict[str, Fraction], section: str,
     return weight
 
 
+def _weight_literals(g: FuzzyGraph) -> tuple[list[str], list[str]]:
+    """Minimal decimal literals of g's sigma, in vertex order, and of its mu,
+    in edge order.
+
+    Each distinct weight is checked and formatted once; a grid-10 product
+    has at most ten. An error label is built only for a weight that fails,
+    and the first failure in that order is the one reported.
+    """
+    n = len(g.sigma)
+    memo: dict[tuple[int, int], str] = {}
+    out = []
+    for i, value in enumerate(chain(g.sigma, [mu for _, _, mu in g.edges])):
+        key = value.as_integer_ratio()
+        text = memo.get(key)
+        if text is None:
+            if not is_decimal_exact(value):
+                label = (f"sigma({g.vertices[i]})" if i < n
+                         else "mu(%s,%s)" % g.edges[i - n][:2])
+                raise FileFormatError(
+                    f"{label} = {value} has no exact decimal form of at most "
+                    "six digits and cannot be serialized")
+            text = memo[key] = format_weight(value)
+        out.append(text)
+    return out[:n], out[n:]
+
+
 def document_of(g: FuzzyGraph) -> dict:
     """JSON-ready dict for a graph; weights must have exact decimal forms."""
-    for label, value in [(f"sigma({v})", s) for v, s in zip(g.vertices, g.sigma)] + \
-                        [(f"mu({u},{v})", mu) for u, v, mu in g.edges]:
-        if not is_decimal_exact(value):
-            raise FileFormatError(
-                f"{label} = {value} has no exact decimal form of at most six "
-                "digits and cannot be serialized")
+    sigma, mu = _weight_literals(g)
     doc: dict = {
         "name": g.name,
-        "vertices": [{"id": v, "sigma": format_weight(s)}
-                     for v, s in zip(g.vertices, g.sigma)],
-        "edges": [{"u": u, "v": v, "mu": format_weight(mu)}
-                  for u, v, mu in g.edges],
+        "vertices": [{"id": v, "sigma": s} for v, s in zip(g.vertices, sigma)],
+        "edges": [{"u": u, "v": v, "mu": m}
+                  for (u, v, _), m in zip(g.edges, mu)],
     }
     if g.product_tag is not None:
         doc["product_of"] = {
@@ -163,13 +194,40 @@ def graph_of_document(doc: Any) -> FuzzyGraph:
         raise FileFormatError(str(exc)) from exc
 
 
+# the layout json.dumps(document_of(g), indent=2) gives; weight literals
+# hold only digits, ".", "/" and "-", which JSON strings need not escape
+_VERTEX = '    {\n      "id": %s,\n      "sigma": "%s"\n    }'
+_EDGE = '    {\n      "u": %s,\n      "v": %s,\n      "mu": "%s"\n    }'
+_TAG = (',\n  "product_of": {\n    "left": %s,\n    "right": %s,\n'
+        '    "separator": %s\n  }')
+
+
+def _array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def dumps(g: FuzzyGraph) -> str:
-    return json.dumps(document_of(g), indent=2) + "\n"
+    """The canonical document of g: json.dumps(document_of(g), indent=2)
+    plus a newline, byte for byte (module docstring)."""
+    sigma, mu = _weight_literals(g)
+    ids = list(map(_quote, g.vertices))
+    quoted = dict(zip(g.vertices, ids))
+    vertices = [_VERTEX % pair for pair in zip(ids, sigma)]
+    edges = [_EDGE % (quoted[u], quoted[v], m)
+             for (u, v, _), m in zip(g.edges, mu)]
+    tag = g.product_tag
+    tail = "" if tag is None else _TAG % (
+        _quote(tag.left_name), _quote(tag.right_name), _quote(tag.separator))
+    return ('{\n  "name": %s,\n  "vertices": %s,\n  "edges": %s%s\n}\n'
+            % (_quote(g.name), _array(vertices), _array(edges), tail))
 
 
 def save(g: FuzzyGraph, path: str) -> None:
+    # render before opening, so a graph that cannot be serialized leaves
+    # an existing file as it was
+    text = dumps(g)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g))
+        fh.write(text)
 
 
 def load(path: str) -> FuzzyGraph:

@@ -624,9 +624,10 @@ def reports_to_json(reports: Sequence[TheoremReport]) -> list[dict]:
 def save_report(reports: Sequence[TheoremReport], path: str) -> None:
     import json
 
+    # serialize before opening, so a failure leaves an existing file as it was
+    text = json.dumps(reports_to_json(reports), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(reports_to_json(reports), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def replay_counterexample(theorem_id: str, record: dict) -> CheckResult:

@@ -7,7 +7,8 @@ import pytest
 from fuzzydom.fileformat import dumps, load
 from fuzzydom.product import direct_product
 
-GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+ROOT = Path(__file__).resolve().parent.parent
+GRAPHS = ROOT / "graphs"
 FILES = sorted(p.name for p in GRAPHS.glob("*.fg"))
 PRODUCTS = {
     "k2_low_x_k2_even.fg": ("k2_low.fg", "k2_even.fg"),
@@ -33,3 +34,9 @@ def test_example_product_file_is_the_product_of_its_factors(name):
     built = direct_product(left, right)
     assert loaded == built
     assert loaded.product_tag == built.product_tag
+
+
+def test_readme_example_is_the_saved_layout():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert block == dumps(load(str(GRAPHS / "k2_low.fg")))

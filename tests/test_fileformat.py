@@ -3,9 +3,10 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from fuzzydom import fileformat
 from fuzzydom.core import FuzzyGraph
@@ -170,6 +171,17 @@ def test_document_rejections_name_the_problem(doc, fragment):
         graph_of_document(doc)
 
 
+def test_failed_save_leaves_the_existing_file_untouched(tmp_path):
+    original = (Path(__file__).resolve().parent.parent / "graphs"
+                / "k2_even.fg").read_bytes()
+    path = tmp_path / "k2_even.fg"
+    path.write_bytes(original)
+    g = FuzzyGraph.build("g", [("a", Fraction(1, 3))])
+    with pytest.raises(FileFormatError, match="no exact decimal form"):
+        save(g, str(path))
+    assert path.read_bytes() == original
+
+
 def test_document_of_refuses_non_decimal_weights():
     g = FuzzyGraph.build("g", [("a", Fraction(1, 3))])
     with pytest.raises(FileFormatError, match="no exact decimal form"):
@@ -278,3 +290,39 @@ def test_generated_graphs_roundtrip(g):
 def test_generated_products_roundtrip(g, h):
     p = direct_product(g, h)
     assert graph_of_document(json.loads(dumps(p))) == p
+
+
+# ids, names and separators the writer must escape exactly as json does:
+# a quote, a backslash, non-ASCII, a control character, a non-BMP character
+_HOSTILE_CHARS = ('"', "\\", "\u00e9", "\x01", "\U0001d11e", "a")
+_SEPARATORS = ("|", "__", "\u00e9", '"', "\\", "\x01", "\U0001d11e")
+_WEIGHTS = tuple(Fraction(k, 20) for k in range(1, 21))
+
+
+@st.composite
+def _hostile_graphs(draw, alphabet):
+    ids = draw(st.lists(st.text(alphabet, min_size=1, max_size=3),
+                        max_size=3, unique=True))
+    sigma = {v: draw(st.sampled_from(_WEIGHTS)) for v in ids}
+    edges = [(u, v, min(sigma[u], sigma[v]) / draw(st.sampled_from((1, 2))))
+             for i, u in enumerate(ids) for v in ids[i + 1:]
+             if draw(st.booleans())]
+    name = draw(st.text(_HOSTILE_CHARS + ("\n", " "), max_size=4))
+    return FuzzyGraph.build(name, sigma.items(), edges)
+
+
+@st.composite
+def _graphs_and_products(draw):
+    """A factor pair, hostile or generated, and their product under a
+    separator that none of their ids contains."""
+    separator = draw(st.sampled_from(_SEPARATORS))
+    alphabet = [c for c in _HOSTILE_CHARS if c not in separator]
+    g, h = (draw(st.one_of(_hostile_graphs(alphabet), graphs(max_vertices=3)))
+            for _ in range(2))
+    return g, h, direct_product(g, h, separator=separator)
+
+
+@given(_graphs_and_products())
+def test_dumps_is_the_stdlib_indent_encoding(graphs_and_product):
+    for g in graphs_and_product:
+        assert dumps(g) == json.dumps(document_of(g), indent=2) + "\n"

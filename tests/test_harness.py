@@ -18,6 +18,7 @@ from fuzzydom.harness import (
     THEOREM_IDS,
     VALID_GRIDS,
     GenParams,
+    TheoremReport,
     check_theorem,
     gen_random,
     replay_counterexample,
@@ -331,6 +332,16 @@ def test_save_report_writes_json_array(tmp_path):
     assert all(set(e) == {"theorem_id", "quote_anchor", "instances_checked",
                           "status", "counterexamples", "wall_time_ms"}
                for e in data)
+
+
+def test_failed_save_report_leaves_the_existing_file_untouched(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("[]\n")
+    report = TheoremReport("T1", "anchor", 1, "counterexample-found",
+                           counterexamples=[{"witness": Fraction(1, 3)}])
+    with pytest.raises(TypeError, match="Fraction"):
+        save_report([report], str(path))
+    assert path.read_text() == "[]\n"
 
 
 def test_valid_grids_square_into_the_weight_grid():
